@@ -18,8 +18,8 @@
 #
 # Phase 1 also streams campaign telemetry (--timeline): because the stream
 # is flushed only at checkpoint boundaries, the kill -9 must leave a
-# well-formed JSONL file ending before the checkpoint the resume restarts
-# from, and the resumed campaign must append a contiguous, duplicate-free
+# well-formed JSONL file, and the resumed campaign (which trims samples
+# past its checkpoint) must append a contiguous, duplicate-free
 # continuation covering every vector exactly once.
 #
 # Usage: kill_resume_test.sh /path/to/cfs

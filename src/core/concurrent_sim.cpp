@@ -780,10 +780,11 @@ void ConcurrentSim::refresh_source_site(GateId g) {
 void ConcurrentSim::reset(Val ff_init, bool clear_status) {
   if (clear_status) status_.assign(model_->num_faults(), Detect::None);
   // Every update scope flushes, but belt and braces before the pool is
-  // reshaped underneath parked indices / recorded anchors.  The queue is
-  // empty between sequences, but under an element budget reset() doubles
-  // as a recovery path: a PoolBudgetError that escaped mid-settle leaves
-  // pending events (and half-merged lists) behind.
+  // reshaped underneath parked indices / recorded anchors.  Between
+  // sequences the queue still holds the last clock's flip-flop fanout
+  // events, which the rebuild makes moot; under an element budget reset()
+  // also doubles as a recovery path: a PoolBudgetError that escaped
+  // mid-settle leaves pending events (and half-merged lists) behind.
   pending_.clear();
   salvage_.clear();
   queue_.clear();
@@ -1126,6 +1127,9 @@ void ConcurrentSim::latch_flipflops(bool capture_only) {
   commit_masters();
 }
 
+// Slave update: commit each captured master to Q and schedule the fanouts
+// of every Q whose good value or visible list changed.  Nothing settles
+// here; the next settle propagates the new frame together with the PIs.
 void ConcurrentSim::commit_masters() {
   const auto dffs = c_->dffs();
   for (std::size_t i = 0; i < dffs.size(); ++i) {
@@ -1170,7 +1174,6 @@ void ConcurrentSim::commit_masters() {
       }
     }
   }
-  settle();
 }
 
 void ConcurrentSim::clock() { latch_flipflops(/*capture_only=*/false); }
@@ -1194,8 +1197,9 @@ std::size_t ConcurrentSim::apply_vector(std::span<const Val> pi_vals) {
   }
   {
     CFS_PHASE(timers_, Clocking);
-    // The slab holds this vector's settled frame only; post-clock settling
-    // computes the next frame, so the oracle must not serve it.
+    // The slab holds this vector's settled frame only.  The flip-flop
+    // events clock() queues drain in the next settle, which computes the
+    // next frame, so the oracle must not serve it.
     good_oracle_ = nullptr;
     clock();
   }
@@ -1238,8 +1242,8 @@ std::size_t ConcurrentSim::apply_vector_transition(
     update_prev_values();
   }
 
-  // Slave update: commit the captured masters; the propagation belongs to
-  // the next frame's pass 1.
+  // Slave update: commit the captured masters; their fanout events stay
+  // queued and drain in the next vector's pass-1 settle.
   pass1_ = true;
   {
     CFS_PHASE(timers_, Clocking);
@@ -1310,6 +1314,11 @@ std::vector<std::pair<std::uint32_t, Val>> ConcurrentSim::visible_at(
 void ConcurrentSim::validate() const {
   if (transition_mode_) {
     throw Error("validate() supports stuck-at mode only");
+  }
+  // clock() leaves the flip-flop fanout events queued for the next settle;
+  // the invariants below describe settled lists only.
+  if (!queue_.empty()) {
+    throw Error("validate: events pending; call settle() first");
   }
   auto fail = [&](GateId g, const std::string& msg) {
     throw Error("validate: gate '" + c_->gate_name(g) + "': " + msg);

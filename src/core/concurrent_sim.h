@@ -28,6 +28,11 @@
 // pass 2 fires every transition to produce the next frame's "previous"
 // values.
 //
+// Clocking only latches the flip-flops and commits Q; the events it queues
+// at the flip-flop fanouts drain in the next vector's settle together with
+// the PI changes (both happen at the same zero-delay frame boundary), so a
+// stuck-at vector costs one levelized settle and a transition vector two.
+//
 // The engine is split into an immutable SimModel (core/sim_model.h) --
 // descriptors, site-fault indices, transition groupings -- and this class,
 // which is pure *run state* (fault lists, pool, good machine, queue,
@@ -97,7 +102,11 @@ class ConcurrentSim {
 
   /// Simulate one test vector: drive PIs, settle, sample POs (detection),
   /// clock the flip-flops.  In transition mode this runs the two-pass
-  /// scheme.  Returns the number of newly hard-detected faults.
+  /// scheme.  Returns the number of newly hard-detected faults.  The clock
+  /// commits the new flip-flop state but does not propagate it: its fanout
+  /// events stay queued for the next vector's settle.  Call settle() to
+  /// observe the post-clock frame under the current PIs (validate(),
+  /// visible_at(), faulty_value() of combinational gates).
   std::size_t apply_vector(std::span<const Val> pi_vals);
 
   // -- resilience (resil/campaign.h drives these) --------------------------
@@ -169,9 +178,11 @@ class ConcurrentSim {
   /// oracle replaces already equals the settled value.  Only TableEvals
   /// shifts; good values, fault propagation, detection order, and the
   /// deterministic counters are bit-identical.  The engine disarms itself
-  /// before the clock phase (post-clock settling is not in the slab); in
-  /// transition mode the oracle stays live through pass 2, whose good
-  /// values equal pass 1's settled frame.  Pass nullptr to disarm.
+  /// before the clock phase: the next settle -- this vector's queued
+  /// flip-flop events, whether drained by the next apply_vector() or by an
+  /// explicit settle() -- computes the next frame, which the slab does not
+  /// hold.  In transition mode the oracle stays live through pass 2, whose
+  /// good values equal pass 1's settled frame.  Pass nullptr to disarm.
   /// `step_slab` must stay valid until the next apply_vector() returns.
   void set_good_batch_oracle(const Word64* step_slab, unsigned lane,
                              unsigned words_per_gate = 1) {
@@ -183,6 +194,10 @@ class ConcurrentSim {
   }
 
   // -- granular API (stuck-at mode), used by tests ------------------------
+  // One vector is set_inputs(), settle(), sample_outputs(), clock().
+  // clock() latches the flip-flops and commits Q only; the fanout events it
+  // queues drain in the next settle().  settle() is also the call that
+  // makes the engine state observable between vectors.
   void set_inputs(std::span<const Val> pi_vals);
   void settle();
   std::size_t sample_outputs();
@@ -218,8 +233,10 @@ class ConcurrentSim {
   /// invisible ones agree; every non-dropped element's pins equal the
   /// faulty driver values (visible element at the driver, else good), and
   /// its output equals re-evaluation of its pins.  Throws cfs::Error with a
-  /// description of the first violation (stuck-at mode only; the settled
-  /// state between vectors is required).
+  /// description of the first violation (stuck-at mode only).  The state
+  /// must be settled: after apply_vector()/clock() the flip-flop fanout
+  /// events are still queued, and validate() throws "events pending; call
+  /// settle() first" until settle() drains them.
   void validate() const;
 
   // -- statistics ----------------------------------------------------------
@@ -469,8 +486,10 @@ class ConcurrentSim {
 
   std::vector<GateState> good_state_;
   // Packed good-machine oracle (set_good_batch_oracle): non-null only
-  // from arming until the next clock phase.  The pointer is pre-offset to
-  // the armed lane's word; a gate's word is good_oracle_[g * stride].
+  // from arming until the next clock phase, so a settle() between vectors
+  // never serves next-frame gates from this vector's slab.  The pointer is
+  // pre-offset to the armed lane's word; a gate's word is
+  // good_oracle_[g * stride].
   const Word64* good_oracle_ = nullptr;
   unsigned good_oracle_stride_ = 1;
   unsigned good_oracle_lane_ = 0;

@@ -1,9 +1,11 @@
 #include "obs/timeline.h"
 
 #include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "obs/json_stats.h"
 #include "obs/trace.h"
@@ -115,6 +117,35 @@ void Timeline::flush() {
   }
   stream_opened_ = true;
   stream_buffer_.clear();
+}
+
+void Timeline::truncate_stream_at(std::uint64_t vec) {
+  if (stream_path_.empty()) return;
+  std::ifstream in(stream_path_, std::ios::binary);
+  if (!in) return;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string text = buf.str();
+  // Sample lines open with their suite position (write_sample_json emits
+  // "vec" first); header lines do not and are kept.
+  constexpr std::string_view kVec = "{\"vec\":";
+  std::string kept;
+  std::size_t pos = 0;
+  for (std::size_t nl; (nl = text.find('\n', pos)) != std::string::npos;
+       pos = nl + 1) {
+    const std::string_view line(text.data() + pos, nl - pos);
+    if (line.starts_with(kVec)) {
+      std::uint64_t v = 0;
+      std::from_chars(line.data() + kVec.size(), line.data() + line.size(),
+                      v);
+      if (v >= vec) continue;
+    }
+    kept.append(line);
+    kept += '\n';
+  }
+  if (kept.size() != text.size()) {
+    atomic_write(stream_path_, kept, "timeline stream");
+  }
 }
 
 void Timeline::write_sample_json(JsonWriter& w, const TimelineSample& s) {

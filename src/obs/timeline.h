@@ -21,10 +21,12 @@
 //
 // Streaming: samples append JSONL lines to an in-memory buffer; flush()
 // lazily opens the file (append mode, so campaign resumes continue the
-// stream) and writes whole lines only.  Campaigns flush at checkpoint
-// boundaries, so a kill -9 anywhere leaves a well-formed stream whose
-// last sample precedes the checkpoint the campaign resumes from --
-// resume appends the continuation and no sample is lost or duplicated.
+// stream) and writes whole lines only.  Campaigns flush just before each
+// checkpoint write, so a kill -9 anywhere leaves a well-formed stream that
+// holds every sample before the checkpoint on disk -- and, if the kill
+// fell between the flush and the checkpoint rename, one interval past it.
+// Resume trims the stream back to its checkpoint (truncate_stream_at) and
+// appends the continuation, so no sample is lost or duplicated.
 #pragma once
 
 #include <chrono>
@@ -112,6 +114,12 @@ class Timeline {
   /// cfs::Error with the OS diagnostic if the path is unwritable.  Called
   /// at checkpoint boundaries (campaigns) and at end of run.
   void flush();
+  /// Drop every sample line at or past suite position `vec`, and a torn
+  /// tail line, from the stream file (rewritten atomically, and only if
+  /// something was dropped).  A resumed campaign calls this with its
+  /// checkpoint's position before recording the samples again.  No-op
+  /// without a stream or stream file.
+  void truncate_stream_at(std::uint64_t vec);
 
   /// The stats document's "timeline" block (oldest-first samples).
   void write_json(JsonWriter& w) const;

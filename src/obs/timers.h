@@ -28,7 +28,8 @@ enum class Phase : unsigned {
   GoodEval,    ///< good-machine sweeps (reset consistency pass)
   FaultProp,   ///< event-driven settling: merges + fault-list propagation
   DropPass,    ///< PO sampling, detection bookkeeping, lazy drop unlinking
-  Clocking,    ///< flip-flop capture and master commit
+  Clocking,    ///< flip-flop capture and master commit (no propagation:
+               ///< the next vector's FaultProp settle drains Q's fanouts)
   ShardMerge,  ///< merging shard verdicts / replaying observations
   GoodBatch,   ///< packed 64-lane good-machine precomputation (driver)
   Rebalance,   ///< dynamic repartition: capture + LPT pack + restore (driver)

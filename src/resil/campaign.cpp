@@ -79,6 +79,7 @@ void CampaignRunner::start_resumed() {
   seq_ = ck.seq_index;
   vec_ = ck.vec_index;
   pos_ = ck.suite_pos;
+  if (opt_.timeline != nullptr) opt_.timeline->truncate_stream_at(pos_);
   build_sim();
   // Mid-sequence resumes continue from the snapshotted machine state; a
   // cursor at a sequence boundary starts the next sequence from the normal
@@ -211,14 +212,16 @@ CampaignCheckpoint CampaignRunner::make_checkpoint() const {
 }
 
 void CampaignRunner::write_checkpoint() {
+  // Flush the timeline stream only at checkpoint boundaries, and before
+  // the checkpoint: whichever checkpoint a kill leaves on disk, the stream
+  // holds every sample before it.  Samples past it (a kill between this
+  // flush and the rename) are trimmed on resume, so the resumed campaign
+  // appends a contiguous, duplicate-free continuation.
+  if (opt_.timeline != nullptr) opt_.timeline->flush();
   checkpoint_write_retries_ += save_checkpoint_retry(
       opt_.checkpoint_path, make_checkpoint(),
       {opt_.checkpoint_retries, opt_.checkpoint_backoff_ms});
   ++checkpoints_;
-  // Flush the timeline stream only at checkpoint boundaries: everything on
-  // disk precedes the checkpoint a kill would resume from, so the resumed
-  // campaign appends a contiguous, duplicate-free continuation.
-  if (opt_.timeline != nullptr) opt_.timeline->flush();
 }
 
 CampaignResult CampaignRunner::run() {

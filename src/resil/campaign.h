@@ -79,9 +79,9 @@ struct CampaignOptions {
   /// Optional telemetry, both owned by the caller and outliving run().
   /// The timeline samples every vector (vec coordinate = suite position,
   /// continuing seamlessly across a resume) and, when streaming, is
-  /// flushed exactly at checkpoint boundaries: a kill -9 leaves a JSONL
-  /// stream whose last sample precedes the checkpoint the campaign
-  /// resumes from, so resume appends a contiguous continuation.  The
+  /// flushed just before each checkpoint write: a kill -9 leaves a JSONL
+  /// stream holding every sample before the checkpoint on disk, resume
+  /// trims any samples past it, and appends a contiguous continuation.  The
   /// trace emitter records shard slices and counter tracks as in plain
   /// sharded runs.
   obs::Timeline* timeline = nullptr;

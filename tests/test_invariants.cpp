@@ -2,6 +2,7 @@
 // vector with the deep validator, plus canonical-number anchors.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "core/concurrent_sim.h"
@@ -21,6 +22,14 @@ struct Config {
   bool drop;
   Val init;
 };
+
+// Without this, gtest prints a Config as its raw bytes, padding included,
+// and the test names change from run to run.
+void PrintTo(const Config& cfg, std::ostream* os) {
+  *os << "seed" << cfg.seed << (cfg.split ? "_split" : "_combined")
+      << (cfg.macro ? "_macro" : "") << (cfg.drop ? "_drop" : "_keep")
+      << "_init" << to_char(cfg.init);
+}
 
 class CsimInvariants : public ::testing::TestWithParam<Config> {};
 
@@ -50,6 +59,9 @@ TEST_P(CsimInvariants, HoldAfterEveryVector) {
     sim.validate();
     for (std::size_t i = 0; i < p.size(); ++i) {
       sim.apply_vector(p[i]);
+      // clock() leaves the flip-flop fanouts queued for the next vector's
+      // settle; the invariants hold once they drain.
+      sim.settle();
       ASSERT_NO_THROW(sim.validate()) << "vector " << i;
     }
   } else {
@@ -58,6 +70,7 @@ TEST_P(CsimInvariants, HoldAfterEveryVector) {
     sim.validate();
     for (std::size_t i = 0; i < p.size(); ++i) {
       sim.apply_vector(p[i]);
+      sim.settle();
       ASSERT_NO_THROW(sim.validate()) << "vector " << i;
     }
   }
@@ -71,6 +84,37 @@ INSTANTIATE_TEST_SUITE_P(
                       Config{604, false, true, false, Val::X},
                       Config{605, true, false, false, Val::Zero},
                       Config{606, true, true, true, Val::X}));
+
+TEST(CsimValidate, ThrowsWhileEventsPendingUntilSettle) {
+  // clock() commits the flip-flops and leaves their fanout events queued;
+  // validate() must say so rather than report the not-yet-merged pins.
+  GenProfile gp;
+  gp.name = "inv-pending";
+  gp.num_pis = 5;
+  gp.num_pos = 4;
+  gp.num_dffs = 8;
+  gp.num_gates = 120;
+  gp.seed = 607;
+  const Circuit c = generate_circuit(gp);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const PatternSet p = PatternSet::random(5, 20, 607);
+  ConcurrentSim sim(c, u);
+  sim.reset(Val::Zero);
+  std::size_t pending = 0;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    sim.apply_vector(p[i]);
+    try {
+      sim.validate();
+    } catch (const Error& e) {
+      ASSERT_STREQ(e.what(), "validate: events pending; call settle() first")
+          << "vector " << i;
+      ++pending;
+    }
+    sim.settle();
+    ASSERT_NO_THROW(sim.validate()) << "vector " << i;
+  }
+  EXPECT_GT(pending, 0u);
+}
 
 TEST(CanonicalNumbers, S27CollapsesTo32Classes) {
   // The classic collapsed stuck-at fault count for s27 is 32.

@@ -1,10 +1,12 @@
 // Resilience subsystem: checkpoint/resume bit-identity across engine
 // variants, shard counts, and the transition model; shard failure
 // containment under injected exceptions and stalls; memory-budget
-// multi-pass degradation; snapshot file integrity (CRC, version, shape).
+// multi-pass degradation; the timeline stream's trim on resume;
+// snapshot file integrity (CRC, version, shape).
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <tuple>
@@ -14,6 +16,7 @@
 #include "faults/macro_map.h"
 #include "gen/iscas_profiles.h"
 #include "netlist/macro_extract.h"
+#include "obs/timeline.h"
 #include "patterns/pattern.h"
 #include "patterns/tgen.h"
 #include "resil/campaign.h"
@@ -439,6 +442,55 @@ TEST(CheckpointResume, PeriodicCheckpointsAreWritten) {
   EXPECT_EQ(done.vectors, 0u);
   EXPECT_EQ(done.digest(), r.digest());
   std::remove(path.c_str());
+}
+
+// The campaign flushes its timeline stream just before each checkpoint
+// write, so a kill between the two leaves the stream one interval past the
+// checkpoint on disk.  Resuming from the older checkpoint must trim those
+// samples: every vector is then sampled exactly once.
+TEST(CheckpointResume, TimelineStreamTrimmedToCheckpointOnResume) {
+  const Circuit c = make_benchmark("s27");
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const TestSuite t = make_suite(c.inputs().size(), 20, 12);
+  const std::string ck = tmp_path("ck_tl_trim.bin");
+  const std::string ck_old = tmp_path("ck_tl_trim_old.bin");
+  const std::string tl_path = tmp_path("tl_trim.jsonl");
+  std::remove(tl_path.c_str());
+
+  const auto leg = [&](const std::string& resume, std::uint64_t halt) {
+    obs::Timeline tl(4);
+    tl.stream_to(tl_path);
+    CampaignOptions opt;
+    opt.timeline = &tl;
+    opt.resume_path = resume;
+    opt.checkpoint_path = ck;
+    opt.halt_after = halt;
+    CampaignRunner runner(c, u, t, opt);
+    return runner.run();
+  };
+  ASSERT_TRUE(leg("", 10).halted);
+  std::filesystem::copy_file(ck, ck_old,
+                             std::filesystem::copy_options::overwrite_existing);
+  ASSERT_TRUE(leg(ck, 20).halted);  // stream now holds 0..19
+  // Resume from vector 10, as if the checkpoint at 20 never reached disk.
+  const CampaignResult tail = leg(ck_old, 0);
+  EXPECT_FALSE(tail.halted);
+  EXPECT_EQ(tail.vectors, t.total_vectors() - 10);
+
+  std::vector<std::uint64_t> vecs;
+  std::ifstream in(tl_path);
+  for (std::string line; std::getline(in, line);) {
+    const std::string key = "{\"vec\":";
+    if (line.rfind(key, 0) == 0) {
+      vecs.push_back(std::stoull(line.substr(key.size())));
+    }
+  }
+  std::vector<std::uint64_t> want(t.total_vectors());
+  for (std::size_t i = 0; i < want.size(); ++i) want[i] = i;
+  EXPECT_EQ(vecs, want);
+  std::remove(ck.c_str());
+  std::remove(ck_old.c_str());
+  std::remove(tl_path.c_str());
 }
 
 TEST(CheckpointResume, RejectsMismatchedSuiteAndCircuit) {

@@ -296,6 +296,8 @@ TEST(SimModel, SharedAcrossEnginesMatchesPrivateModels) {
     lone.apply_vector(p[i]);
   }
   EXPECT_EQ(a.status(), lone.status());
+  a.settle();
+  b.settle();
   a.validate();
   b.validate();
 }

@@ -1,8 +1,9 @@
 // Telemetry layer (PR 7): power-of-two histogram bucket math, per-level
 // work profiles, the Timeline sample ring (wrap, sampling stride), the
 // determinism contract of the sample's deterministic section across the
-// --threads x --batch grid, JSONL streaming (lazy creation, append,
-// well-formedness, error diagnostics), and the progress meter's rendering.
+// --threads x --batch grid, JSONL streaming (lazy creation, append, resume
+// trim, well-formedness, error diagnostics), and the progress meter's
+// rendering.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -297,6 +298,43 @@ TEST(Timeline, StreamAppendsAcrossFlushes) {
   ASSERT_EQ(lines.size(), 4u);  // one header, then 0,1,2
   EXPECT_EQ(extract_u64(lines[1], "vec"), 0u);
   EXPECT_EQ(extract_u64(lines[3], "vec"), 2u);
+  std::remove(path.c_str());
+}
+
+TEST(Timeline, TruncateStreamAtDropsLaterSamplesAndTornTail) {
+  const std::string path = tmp_path("tl_truncate.jsonl");
+  std::remove(path.c_str());
+  {
+    obs::Timeline tl(4);
+    tl.set_num_shards(1);
+    tl.stream_to(path);
+    for (std::uint64_t v = 0; v < 8; ++v) tl.record(make_sample(v));
+    tl.flush();
+  }
+  std::ofstream(path, std::ios::app) << "{\"vec\":8,\"ha";  // torn tail
+
+  // A resume at position 5 drops samples 5..7 and the torn line, keeps the
+  // header, and the continuation appends its own header and 5..7.
+  obs::Timeline tl(4);
+  tl.set_num_shards(1);
+  tl.stream_to(path);
+  tl.truncate_stream_at(5);
+  for (std::uint64_t v = 5; v < 8; ++v) tl.record(make_sample(v));
+  tl.flush();
+  const std::vector<std::string> lines = read_lines(path);
+  ASSERT_EQ(lines.size(), 10u);  // header, 0..4, header, 5..7
+  std::vector<std::uint64_t> vecs;
+  for (const std::string& l : lines) {
+    EXPECT_TRUE(balanced_object_line(l)) << l;
+    if (l.find("\"timeline\":") == std::string::npos) {
+      vecs.push_back(extract_u64(l, "vec"));
+    }
+  }
+  EXPECT_EQ(vecs, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+
+  // Nothing at or past the position: the stream is left as it is.
+  tl.truncate_stream_at(8);
+  EXPECT_EQ(read_lines(path), lines);
   std::remove(path.c_str());
 }
 
