@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "faults/transition_model.h"
-#include "simd/simd.h"
 #include "util/error.h"
+#include "util/kernels.h"
 #include "util/prefetch.h"
 
 namespace cfs {
@@ -20,7 +20,6 @@ ConcurrentSim::ConcurrentSim(std::shared_ptr<const SimModel> model,
     : model_(std::move(model)),
       c_(&model_->circuit()),
       descr_(model_->descriptors()),
-      simd_(&simd::kernels()),
       opt_(opt),
       transition_mode_(model_->transition_mode()),
       queue_(*c_) {
@@ -456,10 +455,10 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
       merge_out_[i] = code(eval_gate(g, merge_sts_[i]));
     }
   } else {
-    const simd::Kernels& K = *simd_;
     merge_idx_.resize(nm);
-    K.state_indices(merge_sts_.data(), nm, 0, ev.lo_mask, merge_idx_.data());
-    K.gather_u8(ev.lo, merge_idx_.data(), nm, merge_out_.data());
+    kernels::state_indices(merge_sts_.data(), nm, 0, ev.lo_mask,
+                           merge_idx_.data());
+    kernels::gather_u8(ev.lo, merge_idx_.data(), nm, merge_out_.data());
     if (ev.hi != nullptr) {
       for (std::size_t i = 0; i < nm; ++i) {
         const std::uint8_t c1 =
@@ -482,10 +481,9 @@ bool ConcurrentSim::merge_gate(GateId g, Val new_good_out) {
   // eval_element already stored.
   const std::uint8_t good_code = code(new_good_out);
   if (nm >= kBatchEvalMin) {
-    const simd::Kernels& K = *simd_;
     merge_cls_.resize(nm);
-    K.classify(merge_sts_.data(), merge_out_.data(), nm, good, in_mask,
-               good_code, merge_cls_.data());
+    kernels::classify(merge_sts_.data(), merge_out_.data(), nm, good,
+                      in_mask, good_code, merge_cls_.data());
     for (std::size_t i = 0; i < nm; ++i) {
       const std::uint8_t cls = merge_cls_[i];
       if (cls == 0) continue;
@@ -692,12 +690,11 @@ void ConcurrentSim::process_level(const GateId* gates, std::size_t n) {
 void ConcurrentSim::batch_eval_good(const GateId* gates, std::size_t n) {
   // Group the level's gates by shared eval table -- the (lo, hi) pointer
   // pair keys one (kind, arity) class (macros are singleton classes backed
-  // by their private truth table) -- then evaluate each run with the SIMD
+  // by their private truth table) -- then evaluate each run with the
   // gather kernels: pack the state words, derive the masked table indices,
-  // gather the output codes in one vector pass.  Wide gates compose the
+  // gather the output codes in one pass over the run.  Wide gates compose the
   // high-chunk reduction and join scalarly on top of the gathered low
   // chunk; sources (lo == null) are an output-slot passthrough.
-  const simd::Kernels& K = *simd_;
   lvl_order_.resize(n);
   lvl_st_.resize(n);
   lvl_idx_.resize(n);
@@ -734,8 +731,9 @@ void ConcurrentSim::batch_eval_good(const GateId* gates, std::size_t n) {
       for (std::size_t k = 0; k < cnt; ++k) {
         lvl_st_[k] = good_state_[gates[lvl_order_[r + k]]];
       }
-      K.state_indices(lvl_st_.data(), cnt, 0, e.lo_mask, lvl_idx_.data());
-      K.gather_u8(e.lo, lvl_idx_.data(), cnt, lvl_out_.data());
+      kernels::state_indices(lvl_st_.data(), cnt, 0, e.lo_mask,
+                             lvl_idx_.data());
+      kernels::gather_u8(e.lo, lvl_idx_.data(), cnt, lvl_out_.data());
       if (e.hi == nullptr) {
         for (std::size_t k = 0; k < cnt; ++k) {
           lvl_good_[lvl_order_[r + k]] = from_code(lvl_out_[k]);

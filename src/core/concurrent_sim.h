@@ -466,11 +466,6 @@ class ConcurrentSim {
   std::shared_ptr<const SimModel> model_;
   const Circuit* c_;      // == &model_->circuit(), cached for the hot path
   const FaultDescriptor* descr_;  // == model_->descriptors()
-  // Active SIMD kernel table, captured at construction (ISA selection --
-  // simd::set_isa / --simd -- happens once at startup, before any engine
-  // exists).  Every table computes bit-identical results, so even a late
-  // switch could only change speed, never behaviour.
-  const simd::Kernels* simd_;
   CsimOptions opt_;
   bool transition_mode_ = false;
 

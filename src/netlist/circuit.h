@@ -139,11 +139,10 @@ class Circuit {
   }
 
   /// Raw table-eval descriptor of one gate: exactly the pointers and masks
-  /// eval() reads, exposed so the batched SIMD paths can group gates by
+  /// eval() reads, exposed so the batched eval paths can group gates by
   /// shared table and gather many lookups per pass.  lo == nullptr marks a
   /// source (Input / Dff, output slot passthrough); hi != nullptr marks a
-  /// wide gate composing two chunk reductions through `join`.  All tables
-  /// keep kEvalTablePad readable bytes past their last entry.
+  /// wide gate composing two chunk reductions through `join`.
   struct GateEval {
     const std::uint8_t* lo;
     const std::uint8_t* hi;

@@ -31,7 +31,7 @@
 
 #include "netlist/circuit.h"
 #include "obs/counters.h"
-#include "simd/simd.h"
+#include "util/kernels.h"
 
 namespace cfs {
 
@@ -142,8 +142,8 @@ class LevelQueue {
 
   /// Batched drain: identical level order and within-level ascending-id
   /// order as drain(), but each dirty level is emitted as one whole batch
-  /// via the SIMD sweep kernels -- a wide nonzero skip over the summary
-  /// bitmap, then a compressed-index expansion of the level's set bits --
+  /// via the sweep kernels -- a nonzero skip over the summary bitmap,
+  /// then a compressed-index expansion of the level's set bits --
   /// and handed to `process_batch(const GateId* gates, std::size_t n)` in
   /// a single call.  The level's bits are snapshotted and cleared before
   /// the callback runs, so a (re)schedule of a gate in this level from
@@ -157,9 +157,9 @@ class LevelQueue {
   /// contract drain() already had.
   template <typename F>
   void drain_levels(F&& process_batch) {
-    const simd::Kernels& k = simd::kernels();
     for (;;) {
-      const std::size_t dw = k.find_nonzero(dirty_.data(), dirty_.size());
+      const std::size_t dw =
+          kernels::find_nonzero(dirty_.data(), dirty_.size());
       if (dw == dirty_.size()) break;
       const std::uint32_t lvl =
           static_cast<std::uint32_t>(dw * 64) +
@@ -167,7 +167,7 @@ class LevelQueue {
       dirty_[dw] &= dirty_[dw] - 1;
       const std::uint32_t wb = word_begin_[lvl];
       const std::uint32_t we = word_begin_[lvl + 1];
-      const std::size_t count = k.expand_bits(
+      const std::size_t count = kernels::expand_bits(
           words_.data() + wb, we - wb, wb * 64, batch_pos_.data());
       std::fill(words_.begin() + wb, words_.begin() + we, 0);
       if (count == 0) continue;

@@ -156,6 +156,34 @@ TEST(MacroMap, MapsEveryFault) {
   EXPECT_GT(mm.num_functional, 0u);
 }
 
+TEST(MacroMap, FlagsFaultsMaskedInsideTheirRegion) {
+  // y = a AND (a OR b) == a: inside the macro rooted at y, n1 s-a-1 leaves
+  // the macro function unchanged (masked), n1 s-a-0 forces y to 0 (not).
+  Builder bld("absorb");
+  bld.add_input("a");
+  bld.add_input("b");
+  bld.add_gate(GateKind::Or, "n1", {"a", "b"});
+  bld.add_gate(GateKind::And, "y", {"a", "n1"});
+  bld.mark_output("y");
+  const Circuit c = bld.build();
+  const MacroExtraction ext = extract_macros(c);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const MacroFaultMap mm = map_faults_to_macros(c, ext, u);
+  const GateId n1 = c.find("n1");
+  bool saw_sa0 = false;
+  bool saw_sa1 = false;
+  for (std::uint32_t id = 0; id < u.size(); ++id) {
+    if (u[id].gate != n1 || u[id].pin != kFaultOutPin) continue;
+    ASSERT_NE(mm.mapped[id].table, kNoGate) << "n1 faults are functional";
+    const bool want_masked = u[id].value == Val::One;
+    EXPECT_EQ(mm.mapped[id].masked, want_masked) << describe_fault(c, u[id]);
+    (want_masked ? saw_sa1 : saw_sa0) = true;
+  }
+  EXPECT_TRUE(saw_sa0 && saw_sa1);
+  EXPECT_GT(mm.num_masked, 0u);
+  EXPECT_LT(mm.num_masked, mm.num_functional);
+}
+
 TEST(MacroMap, RejectsTransitionUniverse) {
   const Circuit c = make_s27();
   const MacroExtraction ext = extract_macros(c);

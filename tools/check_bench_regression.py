@@ -16,10 +16,9 @@ either side are reported and skipped unless explicitly requested with
 --bench, in which case they fail the run.
 
 Host comparability is checked loudly but never fails the gate: a missing
-host descriptor on either side, a core-count mismatch, or a vector-ISA
-mismatch each print a warning so a surprise ratio can be read correctly --
-timing ratios across different hosts or kernel sets reflect the machine,
-not the code.  Standard library only.
+host descriptor on either side or a core-count mismatch each print a
+warning so a surprise ratio can be read correctly -- timing ratios across
+different hosts reflect the machine, not the code.  Standard library only.
 """
 import argparse
 import json
@@ -48,15 +47,6 @@ def num_cpus(doc):
     return None
 
 
-def host_isa(doc):
-    """Vector-kernel ISA the document was measured with ("avx2", ...), or
-    None if unrecorded (raw google-benchmark JSON has no such field)."""
-    host = doc.get("host")
-    if isinstance(host, dict):
-        return host.get("isa")
-    return None
-
-
 def warn_host_mismatch(cur_doc, base_doc):
     """Timings only transfer between comparable hosts.  None of these
     checks fails the gate, but every incomparability is called out loudly
@@ -74,12 +64,6 @@ def warn_host_mismatch(cur_doc, base_doc):
         print(f"warning: host core-count mismatch -- current run on "
               f"{cur} cpus, baseline recorded on {base}; timing ratios "
               f"may reflect the machine, not the code", file=sys.stderr)
-    cur_isa, base_isa = host_isa(cur_doc), host_isa(base_doc)
-    if cur_isa and base_isa and cur_isa != base_isa:
-        print(f"warning: vector-ISA mismatch -- current run used "
-              f"{cur_isa} kernels, baseline recorded with {base_isa}; "
-              f"timing ratios compare kernel sets, not just the code",
-              file=sys.stderr)
 
 
 def main():
