@@ -34,8 +34,7 @@ int main(int argc, char** argv) {
   const RunResult r = run_csim_sharded(c, u, TestSuite(p), CsimVariant::MV,
                                        /*num_threads=*/1, bench::kFfInit,
                                        /*drop_detected=*/true,
-                                       /*trace=*/nullptr, /*batch_width=*/1,
-                                       &timeline);
+                                       /*trace=*/nullptr, &timeline);
 
   std::printf("coverage curve: %s, %zu faults, random patterns\n",
               name.c_str(), u.size());

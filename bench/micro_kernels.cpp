@@ -13,10 +13,8 @@
 #include "gen/iscas_profiles.h"
 #include "netlist/gate.h"
 #include "patterns/pattern.h"
-#include "sim/batch_good_sim.h"
 #include "sim/delay_sim.h"
 #include "sim/good_sim.h"
-#include "util/dualrail.h"
 
 namespace {
 
@@ -113,57 +111,6 @@ void BM_ConcurrentResequence(benchmark::State& state) {
                           static_cast<std::int64_t>(p.size()));
 }
 BENCHMARK(BM_ConcurrentResequence)->Arg(0)->Arg(1);
-
-// Per-vector good-machine throughput of the two-dimensional driver's fast
-// path: arg = 1 replays a combinational suite one vector at a time through
-// the scalar GoodSim; arg = 64 packs the same suite 64 vectors per Word64
-// band through BatchGoodSim, input packing included (the batched driver
-// pays it per step too).  One item = one vector either way, so the
-// items_per_second columns give the packed speedup directly.
-void BM_BatchVector(benchmark::State& state) {
-  GenProfile gp;
-  gp.name = "bench_batch";
-  gp.num_pis = 16;
-  gp.num_pos = 8;
-  gp.num_dffs = 0;  // combinational: every vector is an independent lane
-  gp.num_gates = 800;
-  gp.seed = 1234;
-  const Circuit c = generate_circuit(gp);
-  const std::size_t npis = c.inputs().size();
-  const PatternSet p = PatternSet::random(npis, 256, 4);
-  const auto width = static_cast<unsigned>(state.range(0));
-
-  if (width == 1) {
-    GoodSim sim(c);
-    for (auto _ : state) {
-      for (std::size_t i = 0; i < p.size(); ++i) {
-        sim.apply(p[i]);
-        benchmark::DoNotOptimize(sim.value(0));
-      }
-    }
-  } else {
-    BatchGoodSim sim(c);
-    sim.reset();
-    for (auto _ : state) {
-      for (std::size_t base = 0; base < p.size(); base += width) {
-        const std::size_t lanes = std::min<std::size_t>(width,
-                                                        p.size() - base);
-        for (std::size_t pi = 0; pi < npis; ++pi) {
-          Word64 w = splat64(Val::X);
-          for (std::size_t l = 0; l < lanes; ++l) {
-            w_set(w, static_cast<unsigned>(l), p[base + l][pi]);
-          }
-          sim.set_input(static_cast<unsigned>(pi), w);
-        }
-        sim.settle();
-        benchmark::DoNotOptimize(sim.values().data());
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(p.size()));
-}
-BENCHMARK(BM_BatchVector)->Arg(1)->Arg(64);
 
 void BM_DelaySimWave(benchmark::State& state) {
   GenProfile gp;

@@ -74,8 +74,7 @@ int main(int argc, char** argv) {
         r = run_csim_sharded(c, u, suite, CsimVariant::MV, k,
                              bench::kFfInit,
                              /*drop_detected=*/true,
-                             /*trace=*/nullptr,
-                             /*batch_width=*/1, &tl, rp);
+                             /*trace=*/nullptr, &tl, rp);
         if (r.cov.hard != ref.cov.hard ||
             r.cov.potential != ref.cov.potential) {
           std::printf("!! x%u %s disagrees with the single-threaded "

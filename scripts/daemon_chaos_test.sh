@@ -1,8 +1,8 @@
 #!/bin/bash
 # Service-level chaos test for cfsd, from outside the process:
 #
-#   1. N concurrent `cfs connect` sessions across a --threads x --batch
-#      grid against one daemon, all on the same cached model.
+#   1. N concurrent `cfs connect` sessions across a --threads grid
+#      against one daemon, all on the same cached model.
 #   2. kill -9 the daemon while every session is mid-campaign (an injected
 #      stall pins them there), restart it on the same state dir: recovery
 #      re-admits every session, clients reconnect with the same command
@@ -46,8 +46,8 @@ wait_for_socket() {
 SOCK=$TMP/cfsd.sock
 STATE=$TMP/state
 SUITE="--random=96 --seed=9"
-# The threads x batch grid: one session per point, one shared model.
-GRID="1:1 2:1 1:8 2:8"
+# The threads grid: one session per point, one shared model.
+GRID="1 2 3 4"
 
 # --- reference: uninterrupted single-process campaign ----------------------
 "$CFS" gen s298 --out="$TMP/c.bench" > /dev/null ||
@@ -67,24 +67,22 @@ DPID=$!
 wait_for_socket "$SOCK" || { cat "$TMP/daemon1.log" >&2; fail "daemon 1 never listened"; }
 
 CPIDS=()
-for tb in $GRID; do
-  t=${tb%:*} b=${tb#*:}
-  "$CFS" connect "$SOCK" --session="grid-t${t}-b${b}" \
-    --circuit="$TMP/c.bench" $SUITE --threads="$t" --batch="$b" --quiet \
-    > "$TMP/open_t${t}_b${b}.txt" 2>&1 &
+for t in $GRID; do
+  "$CFS" connect "$SOCK" --session="grid-t${t}" \
+    --circuit="$TMP/c.bench" $SUITE --threads="$t" --quiet \
+    > "$TMP/open_t${t}.txt" 2>&1 &
   CPIDS+=($!)
 done
 sleep 2  # all four are open, stalled mid-campaign, state on disk
-for tb in $GRID; do
-  t=${tb%:*} b=${tb#*:}
-  [ -f "$STATE/grid-t${t}-b${b}/manifest.json" ] || {
-    cat "$TMP/open_t${t}_b${b}.txt" "$TMP/daemon1.log" >&2
-    fail "session grid-t${t}-b${b} not persisted before the kill"
+for t in $GRID; do
+  [ -f "$STATE/grid-t${t}/manifest.json" ] || {
+    cat "$TMP/open_t${t}.txt" "$TMP/daemon1.log" >&2
+    fail "session grid-t${t} not persisted before the kill"
   }
   # The stall must be holding every campaign open: a finished session here
   # would make the recovery leg vacuous.
-  [ ! -f "$STATE/grid-t${t}-b${b}/result.json" ] ||
-    fail "session grid-t${t}-b${b} finished before the kill; raise the stall"
+  [ ! -f "$STATE/grid-t${t}/result.json" ] ||
+    fail "session grid-t${t} finished before the kill; raise the stall"
 done
 
 kill -9 "$DPID" 2> /dev/null || fail "daemon 1 already dead before kill -9"
@@ -101,16 +99,15 @@ wait_for_socket "$SOCK" || { cat "$TMP/daemon2.log" >&2; fail "daemon 2 never li
 
 # Reconnect with the *same* command line: the spec fingerprint must match
 # the persisted manifest, and every digest must equal the reference.
-for tb in $GRID; do
-  t=${tb%:*} b=${tb#*:}
-  "$CFS" connect "$SOCK" --session="grid-t${t}-b${b}" \
-    --circuit="$TMP/c.bench" $SUITE --threads="$t" --batch="$b" --quiet \
-    > "$TMP/done_t${t}_b${b}.txt" 2>&1 ||
-    { cat "$TMP/done_t${t}_b${b}.txt" >&2; fail "reconnect t=$t b=$b failed"; }
-  D=$(digest_of "$TMP/done_t${t}_b${b}.txt")
+for t in $GRID; do
+  "$CFS" connect "$SOCK" --session="grid-t${t}" \
+    --circuit="$TMP/c.bench" $SUITE --threads="$t" --quiet \
+    > "$TMP/done_t${t}.txt" 2>&1 ||
+    { cat "$TMP/done_t${t}.txt" >&2; fail "reconnect t=$t failed"; }
+  D=$(digest_of "$TMP/done_t${t}.txt")
   [ "$D" = "$REF" ] || {
-    cat "$TMP/done_t${t}_b${b}.txt" >&2
-    fail "kill -9 + recovery digest $D != uninterrupted $REF (t=$t b=$b)"
+    cat "$TMP/done_t${t}.txt" >&2
+    fail "kill -9 + recovery digest $D != uninterrupted $REF (t=$t)"
   }
 done
 

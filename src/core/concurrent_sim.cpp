@@ -627,13 +627,7 @@ void ConcurrentSim::commit_good(GateId g, Val v) {
 }
 
 void ConcurrentSim::process_gate(GateId g) {
-  // With the batch oracle armed the settled good value is already known:
-  // read it from the packed slab instead of re-evaluating the gate.
-  const Val new_good = good_oracle_ != nullptr
-                           ? w_get(good_oracle_[std::size_t{g} *
-                                                good_oracle_stride_],
-                                   good_oracle_lane_)
-                           : eval_gate(g, good_state_[g]);
+  const Val new_good = eval_gate(g, good_state_[g]);
   const bool vis_changed = merge_gate(g, new_good);
   if (new_good != state_out(good_state_[g])) {
     commit_good(g, new_good);
@@ -656,13 +650,7 @@ void ConcurrentSim::process_level(const GateId* gates, std::size_t n) {
   // loop would have read.  Only the grouping of TableEvals bumps changes;
   // the totals stay identical.
   lvl_good_.resize(n);
-  if (good_oracle_ != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      lvl_good_[i] =
-          w_get(good_oracle_[std::size_t{gates[i]} * good_oracle_stride_],
-                good_oracle_lane_);
-    }
-  } else if (opt_.fold_eval || n < kBatchEvalMin) {
+  if (opt_.fold_eval || n < kBatchEvalMin) {
     for (std::size_t i = 0; i < n; ++i) {
       lvl_good_[i] = eval_gate(gates[i], good_state_[gates[i]]);
     }
@@ -786,7 +774,6 @@ void ConcurrentSim::reset(Val ff_init, bool clear_status) {
   pending_.clear();
   salvage_.clear();
   queue_.clear();
-  good_oracle_ = nullptr;  // a stale slab never survives a rebuild
   if (opt_.compact_pool || opt_.max_elements != 0) {
     // Compaction: forget the scrambled free list wholesale and re-dispense
     // slots from index 0.  The rebuild below then lays every list out
@@ -941,7 +928,6 @@ void ConcurrentSim::restore_run_state(const RunStateSnapshot& s,
   pending_.clear();
   salvage_.clear();
   queue_.clear();
-  good_oracle_ = nullptr;  // a stale slab never survives a rebuild
   pool_.reset();
   const std::uint32_t snt = pool_.alloc();  // sentinel regains slot 0
   pool_[snt] = Element{kSentinelId, snt, 0};
@@ -1195,10 +1181,6 @@ std::size_t ConcurrentSim::apply_vector(std::span<const Val> pi_vals) {
   }
   {
     CFS_PHASE(timers_, Clocking);
-    // The slab holds this vector's settled frame only.  The flip-flop
-    // events clock() queues drain in the next settle, which computes the
-    // next frame, so the oracle must not serve it.
-    good_oracle_ = nullptr;
     clock();
   }
   return newly;
@@ -1245,7 +1227,6 @@ std::size_t ConcurrentSim::apply_vector_transition(
   pass1_ = true;
   {
     CFS_PHASE(timers_, Clocking);
-    good_oracle_ = nullptr;  // the slab does not cover the next frame
     commit_masters();
   }
   return newly;

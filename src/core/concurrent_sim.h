@@ -59,7 +59,6 @@
 #include "obs/histogram.h"
 #include "obs/timers.h"
 #include "sim/level_queue.h"
-#include "util/dualrail.h"
 #include "util/logic.h"
 #include "util/memtrack.h"
 #include "util/packed_state.h"
@@ -167,31 +166,6 @@ class ConcurrentSim {
   /// Start a fresh element-pool high-water epoch (campaign accounting
   /// across budget-enforced passes).
   void reset_peak_elements() { pool_.reset_peak(); }
-
-  /// Arm the packed good-machine oracle for the next apply_vector(): while
-  /// armed, process_gate() serves a gate's new good value from lane `lane`
-  /// of `step_slab[gate * words_per_gate ..]` -- the settled multi-word
-  /// outputs a BatchGoodSim computed for this vector -- instead of
-  /// re-evaluating the gate.  Sound
-  /// because the level queue processes a gate only after all of its
-  /// strictly-lower-level fanins are final, so the scalar evaluation the
-  /// oracle replaces already equals the settled value.  Only TableEvals
-  /// shifts; good values, fault propagation, detection order, and the
-  /// deterministic counters are bit-identical.  The engine disarms itself
-  /// before the clock phase: the next settle -- this vector's queued
-  /// flip-flop events, whether drained by the next apply_vector() or by an
-  /// explicit settle() -- computes the next frame, which the slab does not
-  /// hold.  In transition mode the oracle stays live through pass 2, whose
-  /// good values equal pass 1's settled frame.  Pass nullptr to disarm.
-  /// `step_slab` must stay valid until the next apply_vector() returns.
-  void set_good_batch_oracle(const Word64* step_slab, unsigned lane,
-                             unsigned words_per_gate = 1) {
-    good_oracle_ = step_slab == nullptr
-                       ? nullptr
-                       : step_slab + (lane >> 6);  // lane's word, gate 0
-    good_oracle_stride_ = words_per_gate;
-    good_oracle_lane_ = lane & 63u;
-  }
 
   // -- granular API (stuck-at mode), used by tests ------------------------
   // One vector is set_inputs(), settle(), sample_outputs(), clock().
@@ -480,14 +454,6 @@ class ConcurrentSim {
   std::vector<std::uint8_t> base_excluded_;
 
   std::vector<GateState> good_state_;
-  // Packed good-machine oracle (set_good_batch_oracle): non-null only
-  // from arming until the next clock phase, so a settle() between vectors
-  // never serves next-frame gates from this vector's slab.  The pointer is
-  // pre-offset to the armed lane's word; a gate's word is
-  // good_oracle_[g * stride].
-  const Word64* good_oracle_ = nullptr;
-  unsigned good_oracle_stride_ = 1;
-  unsigned good_oracle_lane_ = 0;
   std::vector<std::uint32_t> head_vis_, head_inv_;
   Pool<Element> pool_;
   LevelQueue queue_;

@@ -124,13 +124,11 @@ RunResult run_csim_sharded(const Circuit& c, const FaultUniverse& u,
                            const TestSuite& t, CsimVariant variant,
                            unsigned num_threads, Val ff_init,
                            bool drop_detected, obs::TraceEmitter* trace,
-                           unsigned batch_width, obs::Timeline* timeline,
+                           obs::Timeline* timeline,
                            const RebalancePolicy& rebalance) {
   RunResult r;
-  r.batch = batch_width;
   ShardedOptions sopt;
   sopt.num_threads = num_threads;
-  sopt.batch_width = batch_width;
   sopt.rebalance = rebalance;
   sopt.csim.split_lists =
       variant == CsimVariant::V || variant == CsimVariant::MV;
@@ -172,14 +170,11 @@ RunResult run_csim_transition_sharded(const Circuit& c,
                                       unsigned num_threads, Val ff_init,
                                       bool split_lists,
                                       obs::TraceEmitter* trace,
-                                      unsigned batch_width,
                                       obs::Timeline* timeline,
                                       const RebalancePolicy& rebalance) {
   RunResult r;
-  r.batch = batch_width;
   ShardedOptions sopt;
   sopt.num_threads = num_threads;
-  sopt.batch_width = batch_width;
   sopt.rebalance = rebalance;
   sopt.csim.split_lists = split_lists;
   ShardedSim sim(c, u, sopt);

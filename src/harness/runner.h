@@ -22,7 +22,6 @@ struct RunResult {
   Coverage cov;
   std::uint64_t activity = 0;  ///< scalar gate evals or word evals
   unsigned threads = 1;        ///< shards actually used (sharded runs)
-  unsigned batch = 1;          ///< pattern-lane width (sharded runs)
   SimStats stats;              ///< per-engine breakdown (csim runs)
   /// Harness-side envelope: the whole-suite Run phase.  The tables' CPU
   /// column and the telemetry export both read this one accumulator.
@@ -61,12 +60,10 @@ RunResult run_csim_transition(const Circuit& c, const FaultUniverse& u,
                               bool split_lists = true);
 
 /// Sharded multi-threaded csim run: `num_threads` shard engines over one
-/// shared SimModel (see sim/sharded_sim.h), with `batch_width` pattern
-/// lanes through the packed good machine (ShardedOptions::batch_width) --
-/// the two parallel axes compose freely.  Detection status and coverage
-/// are bit-for-bit identical to the single-threaded, width-1 variant for
-/// any thread count x batch width.  `trace`, when given, receives one
-/// Chrome-trace track per shard (obs/trace.h) and must outlive the call;
+/// shared SimModel (see sim/sharded_sim.h).  Detection status and coverage
+/// are bit-for-bit identical to the single-threaded variant for any thread
+/// count.  `trace`, when given, receives one Chrome-trace track per shard
+/// (obs/trace.h) and must outlive the call;
 /// `timeline`, when given, samples the run per vector (obs/timeline.h,
 /// forcing the lockstep driver) and must outlive the call too.
 /// `rebalance` configures dynamic ownership repartitioning
@@ -76,7 +73,6 @@ RunResult run_csim_sharded(const Circuit& c, const FaultUniverse& u,
                            unsigned num_threads, Val ff_init = Val::X,
                            bool drop_detected = true,
                            obs::TraceEmitter* trace = nullptr,
-                           unsigned batch_width = 1,
                            obs::Timeline* timeline = nullptr,
                            const RebalancePolicy& rebalance = {});
 
@@ -88,7 +84,6 @@ RunResult run_csim_transition_sharded(const Circuit& c,
                                       Val ff_init = Val::X,
                                       bool split_lists = true,
                                       obs::TraceEmitter* trace = nullptr,
-                                      unsigned batch_width = 1,
                                       obs::Timeline* timeline = nullptr,
                                       const RebalancePolicy& rebalance = {});
 

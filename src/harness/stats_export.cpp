@@ -33,7 +33,7 @@ void write_run_stats_json(std::ostream& os, const RunMetadata& meta,
                           const RunResult& r, const obs::Timeline* timeline) {
   obs::JsonWriter w(os);
   w.begin_object();
-  w.field("schema_version", std::uint64_t{2});
+  w.field("schema_version", std::uint64_t{3});
 
   w.key("meta");
   w.begin_object();
@@ -42,7 +42,6 @@ void write_run_stats_json(std::ostream& os, const RunMetadata& meta,
   w.field("sim_name", r.sim_name);
   w.field("mode", meta.mode);
   w.field("threads", r.threads);
-  w.field("batch", r.batch);
   w.field("seed", meta.seed);
   w.field("vectors", static_cast<std::uint64_t>(meta.vectors));
   w.field("sequences", static_cast<std::uint64_t>(meta.sequences));

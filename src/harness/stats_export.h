@@ -23,7 +23,7 @@ struct RunMetadata {
   std::string ff_init = "X";    ///< "X" | "0" | "1"
 };
 
-/// Serialize one run as the stats document (schema_version 2).  The
+/// Serialize one run as the stats document (schema_version 3).  The
 /// "deterministic" block holds only shard-invariant counters -- those are
 /// bit-identical across --threads for a fixed (circuit, tests) pair; the
 /// per-engine blocks carry the full registry plus the work-attribution

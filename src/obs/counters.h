@@ -50,8 +50,6 @@ enum class Counter : unsigned {
   EventsScheduled,     ///< gate ids newly entered into the level queue
   BitmapCoalesced,     ///< schedule() ORs absorbed by an already-set bit
   SentinelHits,        ///< list traversals that reached the shared sentinel
-  BatchWordsEvaluated, ///< packed good-machine Word64 gate evaluations
-  BatchLanesWasted,    ///< idle lanes across packed good-machine steps
   Rebalances,          ///< dynamic ownership repartitions (driver)
   FaultsMigrated,      ///< faults whose owner shard changed in a repartition
   ElementsMigrated,    ///< live elements carried by migrated faults
@@ -83,8 +81,6 @@ constexpr std::string_view counter_name(Counter c) {
     case Counter::EventsScheduled: return "events_scheduled";
     case Counter::BitmapCoalesced: return "bitmap_coalesced";
     case Counter::SentinelHits: return "sentinel_hits";
-    case Counter::BatchWordsEvaluated: return "batch_words_evaluated";
-    case Counter::BatchLanesWasted: return "batch_lanes_wasted";
     case Counter::Rebalances: return "rebalances";
     case Counter::FaultsMigrated: return "faults_migrated";
     case Counter::ElementsMigrated: return "elements_migrated";

@@ -12,8 +12,8 @@
 // partitioned into three sections.  The *deterministic* section (vec,
 // hard, potential, dropped, live_faults) is computed from the merged
 // master status -- one transition per fault, each owned by exactly one
-// shard -- and is bit-identical across --threads and --batch for a fixed
-// (circuit, universe, tests).  The *work* section (live elements,
+// shard -- and is bit-identical across --threads and --rebalance for a
+// fixed (circuit, universe, tests).  The *work* section (live elements,
 // traversal/gate deltas) measures real machine effort, which depends on
 // how faults share engines.  The *wall* section (timestamps, latencies)
 // is never reproducible.  Tests and CI compare exactly the deterministic
@@ -47,7 +47,7 @@ struct ShardSample {
 };
 
 struct TimelineSample {
-  // Deterministic section: thread- and batch-invariant.
+  // Deterministic section: thread- and rebalance-invariant.
   std::uint64_t vec = 0;         ///< suite position (0-based, cumulative)
   std::uint64_t hard = 0;        ///< cumulative hard detections
   std::uint64_t potential = 0;   ///< cumulative potential detections

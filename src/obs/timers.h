@@ -31,7 +31,6 @@ enum class Phase : unsigned {
   Clocking,    ///< flip-flop capture and master commit (no propagation:
                ///< the next vector's FaultProp settle drains Q's fanouts)
   ShardMerge,  ///< merging shard verdicts / replaying observations
-  GoodBatch,   ///< packed 64-lane good-machine precomputation (driver)
   Rebalance,   ///< dynamic repartition: capture + LPT pack + restore (driver)
   Run,         ///< whole-suite envelope (the tables' CPU column)
   kCount
@@ -47,7 +46,6 @@ constexpr std::string_view phase_name(Phase p) {
     case Phase::DropPass: return "drop_pass";
     case Phase::Clocking: return "clocking";
     case Phase::ShardMerge: return "shard_merge";
-    case Phase::GoodBatch: return "good_batch";
     case Phase::Rebalance: return "rebalance";
     case Phase::Run: return "run";
     case Phase::kCount: break;

@@ -7,9 +7,6 @@
 #include <mutex>
 #include <numeric>
 
-#include "patterns/batch_plan.h"
-#include "sim/batch_good_sim.h"
-#include "util/dualrail.h"
 #include "util/error.h"
 #include "util/pool.h"
 
@@ -306,15 +303,6 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
 }
 
 void ShardedSim::run(const TestSuite& t, Val ff_init) {
-  // The batched driver subsumes the lockstep path (it replays per vector,
-  // so observers stay ordered); containment keeps its own per-vector retry
-  // boundary and is left on the scalar paths, where an engine rebuilt
-  // mid-vector never holds a dangling slab pointer.
-  const unsigned bw = std::min(std::max(opt_.batch_width, 1u), kMaxBatchLanes);
-  if (bw > 1 && opt_.resil.max_retries == 0) {
-    run_batched(t, ff_init, bw);
-    return;
-  }
   const bool rebalancing = opt_.rebalance.mode != RebalancePolicy::Mode::Off &&
                            num_shards() > 1;
   if (observer_ || opt_.resil.max_retries > 0 || timeline_ != nullptr ||
@@ -354,77 +342,6 @@ void ShardedSim::run(const TestSuite& t, Val ff_init) {
       ++seq_no;
     }
   });
-  merged_dirty_ = true;
-}
-
-void ShardedSim::run_batched(const TestSuite& t, Val ff_init,
-                             unsigned width) {
-  const Circuit& c = model_->circuit();
-  const BatchPlan plan = BatchPlan::build(c, t, width);
-  const std::size_t ngates = c.num_gates();
-  const std::size_t npis = c.inputs().size();
-  // A band's packed trajectory is held whole (the replay walks it lane by
-  // lane, so it cannot stream); a band that would not fit runs unpacked.
-  constexpr std::size_t kSlabByteCap = std::size_t{512} << 20;
-  BatchGoodSim bsim(c, ff_init, plan.width());
-  const unsigned W = bsim.words_per_gate();
-  const std::size_t frame_words = ngates * std::size_t{W};
-  std::vector<Word64> slab;
-  std::vector<Word64> wbuf(W);
-  for (const BatchBand& band : plan.bands()) {
-    const bool packed =
-        band.lanes.size() > 1 && band.steps > 0 && ngates > 0 &&
-        std::size_t{band.steps} <= kSlabByteCap / (frame_words * sizeof(Word64));
-    if (packed) {
-      // Precompute the whole band's good trajectory: one packed machine
-      // stands in for up to `width` per-shard scalar good machines.
-      obs::ScopedPhase sp(driver_timers_, obs::Phase::GoodBatch);
-      slab.resize(frame_words * band.steps);
-      bsim.reset(ff_init);
-      for (std::uint32_t step = 0; step < band.steps; ++step) {
-        std::uint64_t active = 0;
-        for (const BatchLane& lane : band.lanes) active += step < lane.count;
-        CFS_COUNT_N(batch_counters_, BatchLanesWasted, width - active);
-        for (std::size_t pi = 0; pi < npis; ++pi) {
-          wn_splat(wbuf.data(), W, Val::X);
-          for (std::size_t l = 0; l < band.lanes.size(); ++l) {
-            const BatchLane& lane = band.lanes[l];
-            if (step < lane.count) {
-              wn_set(wbuf.data(), static_cast<unsigned>(l),
-                     t.sequences()[lane.seq][lane.begin + step][pi]);
-            }
-          }
-          bsim.set_input(static_cast<unsigned>(pi), wbuf.data());
-        }
-        bsim.settle();
-        std::copy(bsim.values().begin(), bsim.values().end(),
-                  slab.begin() + std::size_t{step} * frame_words);
-        if (step + 1 < band.steps) bsim.clock();
-      }
-    }
-    // Replay the lanes in suite order; in a packed band every engine reads
-    // its good values from the lane's slice of the trajectory.
-    for (std::size_t l = 0; l < band.lanes.size(); ++l) {
-      const BatchLane& lane = band.lanes[l];
-      if (lane.count == 0) {
-        reset(ff_init);  // empty sequence: the reset still happens in order
-        continue;
-      }
-      const PatternSet& seq = t.sequences()[lane.seq];
-      for (std::uint32_t v = lane.begin; v < lane.begin + lane.count; ++v) {
-        if (v == 0) reset(ff_init);
-        if (packed) {
-          const Word64* frame =
-              slab.data() + std::size_t{v - lane.begin} * frame_words;
-          for (auto& e : engines_) {
-            e->set_good_batch_oracle(frame, static_cast<unsigned>(l), W);
-          }
-        }
-        apply_vector(seq[v]);
-      }
-    }
-  }
-  batch_counters_.merge(bsim.counters());
   merged_dirty_ = true;
 }
 
@@ -574,9 +491,9 @@ std::size_t ShardedSim::rebalance_now() {
   faults_migrated_ += moved;
   elements_migrated_ += moved_elems;
   last_rebalance_vec_ = vectors_applied_;
-  CFS_COUNT(batch_counters_, Rebalances);
-  CFS_COUNT_N(batch_counters_, FaultsMigrated, moved);
-  CFS_COUNT_N(batch_counters_, ElementsMigrated, moved_elems);
+  CFS_COUNT(rebalance_counters_, Rebalances);
+  CFS_COUNT_N(rebalance_counters_, FaultsMigrated, moved);
+  CFS_COUNT_N(rebalance_counters_, ElementsMigrated, moved_elems);
   if (trace_ != nullptr) {
     trace_->complete(driver_tid(), "rebalance", t0, trace_->now_us() - t0);
     trace_->instant(driver_tid(),
@@ -629,7 +546,7 @@ void ShardedSim::record_sample(std::uint64_t vec_no,
   s.vec = vec_no;
   // Deterministic section: read the merged master status -- each fault's
   // verdict comes from its owner shard, so these values are bit-identical
-  // for any --threads/--batch combination (and need no counters, so they
+  // for any --threads/--rebalance combination (and need no counters, so they
   // survive CFS_OBS=OFF builds).
   const std::vector<Detect>& st = status();
   for (obs::ShardSample& sh : s.shards) sh.live_faults = 0;
@@ -737,9 +654,9 @@ SimStats ShardedSim::stats() const {
     st.total.accumulate(es);
     st.per_engine.push_back(std::move(es));
   }
-  // Driver-side batch telemetry (packed good machine + wasted lanes) has
-  // no owning engine: it appears in the totals only.
-  st.total.counters.merge(batch_counters_);
+  // Driver-side rebalance telemetry has no owning engine: it appears in
+  // the totals only.
+  st.total.counters.merge(rebalance_counters_);
   return st;
 }
 

@@ -9,9 +9,8 @@
 // results are bit-for-bit identical for any thread count, including 1.
 //
 // All shards share one immutable SimModel (core/sim_model.h); only run
-// state (fault lists, pool, good machine, queue) is per shard.  Each shard
-// currently re-simulates its own good machine -- see DESIGN.md for the
-// shared-good-machine follow-up.
+// state (fault lists, pool, good machine, queue) is per shard, so every
+// shard re-simulates the same good machine alongside its faults.
 #pragma once
 
 #include <cstdint>
@@ -58,6 +57,11 @@ struct RebalancePolicy {
   std::uint64_t every = 16;
 };
 
+/// Largest accepted worker-thread count.  Both front ends (cfs --threads,
+/// cfsd open) reject anything outside 1..kMaxThreads before it reaches
+/// ShardedOptions.
+inline constexpr unsigned kMaxThreads = 64;
+
 struct ShardedOptions {
   /// Worker threads; the universe is split into the same number of shards
   /// (clamped to the number of faults).  1 reproduces plain ConcurrentSim
@@ -68,15 +72,6 @@ struct ShardedOptions {
   CsimOptions csim;
   /// Shard failure containment (resil/containment.h).  Off by default.
   resil::ResilOptions resil;
-  /// Pattern-lane width for run(): >1 precomputes the good machine for up
-  /// to `batch_width` vectors at a time in one packed multi-word
-  /// BatchGoodSim (sim/batch_good_sim.h, up to kMaxBatchLanes = 256 lanes)
-  /// and serves each engine's good values from the shared trajectory --
-  /// the second parallelism axis, orthogonal to num_threads.  Results are
-  /// bit-identical for any width (clamped to [1, kMaxBatchLanes]).
-  /// Single-lane bands, containment runs (max_retries > 0), and the
-  /// per-vector apply_vector() API always use the scalar path.
-  unsigned batch_width = 1;
   /// Dynamic shard rebalancing (no-op with a single shard).  At the end of
   /// a vector, when the policy triggers, the driver captures the merged
   /// boundary snapshot, repartitions ownership by live-element weight
@@ -178,13 +173,10 @@ class ShardedSim {
   std::size_t apply_vector(std::span<const Val> pi_vals);
 
   /// Simulate a whole suite: one reset per sequence, vectors in order.
-  /// With batch_width > 1 (and containment off) the batched driver runs:
-  /// a BatchPlan groups the suite into packed lanes, one BatchGoodSim
-  /// precomputes each band's good trajectory, and the vectors replay in
-  /// lockstep with every engine reading good values from its lane of the
-  /// slab.  Otherwise, without an observer each shard runs the entire
-  /// suite independently (coarse-grained, one fork-join total); with an
-  /// observer the vectors run in lockstep so callbacks stay ordered.
+  /// Without an observer, timeline, rebalancing, or containment, each shard
+  /// runs the entire suite independently (coarse-grained, one fork-join
+  /// total); otherwise the vectors run in lockstep through apply_vector()
+  /// so callbacks stay ordered and the driver sees every vector boundary.
   /// Every path yields the same merged status, detection order, and
   /// deterministic counters.
   void run(const TestSuite& t, Val ff_init = Val::X);
@@ -276,9 +268,6 @@ class ShardedSim {
   void report_memory(MemStats& ms) const;
 
  private:
-  /// The two-dimensional driver loop (batch_width > 1): packed good-machine
-  /// precompute per band, then per-lane replay with the oracle armed.
-  void run_batched(const TestSuite& t, Val ff_init, unsigned width);
   void replay_observations();
   /// tid of the driver track (one past the shard tracks).
   std::uint32_t driver_tid() const {
@@ -343,10 +332,9 @@ class ShardedSim {
   obs::TimelineSample sample_scratch_;
   // Merge/replay happen in const accessors; the timers still record them.
   mutable obs::PhaseTimers driver_timers_;
-  // Driver-side telemetry: the packed good machine's counters plus
-  // BatchLanesWasted and the rebalance counters, merged into stats().total
-  // (no engine owns them).
-  obs::Counters batch_counters_;
+  // Driver-side telemetry: the rebalance counters, merged into
+  // stats().total (no engine owns them).
+  obs::Counters rebalance_counters_;
 
   mutable std::vector<Detect> merged_;
   mutable bool merged_dirty_ = true;

@@ -65,8 +65,8 @@ std::uint64_t SessionSpec::fingerprint() const {
   h = fnv1a(circuit_text, h);
   h = fnv1a(tests_text, h);
   h = fnv1a(mode, h);
-  h = fnv1a(std::to_string(threads) + ":" + std::to_string(batch) + ":" +
-                std::to_string(elements) + ":" + (reset0 ? "1" : "0"),
+  h = fnv1a(std::to_string(threads) + ":" + std::to_string(elements) + ":" +
+                (reset0 ? "1" : "0"),
             h);
   return h;
 }
@@ -151,7 +151,6 @@ void Service::persist_session(const Session& s) {
   std::string m = "{\"name\":\"" + json_escape(s.spec.name) + "\",\"mode\":\"" +
                   json_escape(s.spec.mode) + "\"";
   m += ",\"threads\":" + std::to_string(s.spec.threads);
-  m += ",\"batch\":" + std::to_string(s.spec.batch);
   m += ",\"elements\":" + std::to_string(s.spec.elements);
   m += std::string(",\"reset0\":") + (s.spec.reset0 ? "true" : "false");
   m += ",\"fingerprint\":\"" + hex64(s.spec.fingerprint()) + "\"}\n";
@@ -178,7 +177,6 @@ void Service::recover_sessions() {
       s->spec.tests_text = read_file(dir + "/tests.txt");
       s->spec.mode = m.req_string("mode");
       s->spec.threads = static_cast<unsigned>(m.req_u64("threads"));
-      s->spec.batch = static_cast<unsigned>(m.req_u64("batch"));
       s->spec.elements = m.req_u64("elements");
       s->spec.reset0 = m.opt_bool("reset0", false);
       // A fingerprint mismatch means the directory's files do not belong
@@ -377,7 +375,6 @@ void Service::run_session(std::shared_ptr<Session> s) {
     resil::CampaignOptions copt;
     copt.ff_init = s->spec.reset0 ? Val::Zero : Val::X;
     copt.sharded.num_threads = s->spec.threads;
-    copt.sharded.batch_width = s->spec.batch;
     copt.sharded.csim.split_lists = true;
     copt.sharded.csim.max_elements = s->spec.elements;
     copt.sharded.resil.max_retries = cfg_.shard_retries;
@@ -576,12 +573,12 @@ std::string Service::op_open(const JsonValue& req) {
   if (spec.mode != "sa" && spec.mode != "sa-macro" && spec.mode != "tr") {
     throw ProtocolError("bad_request", "mode must be sa, sa-macro, or tr");
   }
-  spec.threads = static_cast<unsigned>(req.opt_u64("threads", 1));
-  spec.batch = static_cast<unsigned>(req.opt_u64("batch", 1));
-  if (spec.threads == 0 || spec.threads > 64 || spec.batch == 0 ||
-      spec.batch > 64) {
-    throw ProtocolError("bad_request", "threads and batch must be 1..64");
+  const std::uint64_t threads = req.opt_u64("threads", 1);
+  if (threads == 0 || threads > kMaxThreads) {
+    throw ProtocolError("bad_request", "threads must be 1.." +
+                                           std::to_string(kMaxThreads));
   }
+  spec.threads = static_cast<unsigned>(threads);
   spec.elements = req.opt_u64("elements", 0);
   if (spec.elements == 0) spec.elements = cfg_.default_session_elements;
   spec.reset0 = req.opt_bool("reset0", false);

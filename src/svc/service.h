@@ -116,7 +116,6 @@ struct SessionSpec {
   std::string tests_text;    ///< inline test-suite text (TestSuite::parse)
   std::string mode = "sa";   ///< sa | sa-macro | tr
   unsigned threads = 1;
-  unsigned batch = 1;
   std::size_t elements = 0;  ///< element budget; 0 = config default
   bool reset0 = false;       ///< flip-flop init Zero instead of X
 

@@ -72,57 +72,4 @@ constexpr Word64 w_select(std::uint64_t mask, Word64 b, Word64 a) {
   return {(a.l & ~mask) | (b.l & mask), (a.h & ~mask) | (b.h & mask)};
 }
 
-// ---------------------------------------------------------------------------
-// Multi-word (up to 256-lane) extensions.
-//
-// A value wider than 64 lanes is `n` consecutive Word64s: lane i lives in
-// word i/64, bit i%64.  Lanes never interact in any dual-rail op, so every
-// multi-word op is the Word64 op applied word-wise; the fixed small bound
-// (kMaxBatchWords = 4, i.e. 256 lanes) keeps the loops fully unrollable --
-// on AVX2 the four l rails and four h rails each fill one 256-bit register.
-// ---------------------------------------------------------------------------
-
-/// Hard cap on words per multi-word value (4 * 64 = 256 lanes).
-inline constexpr unsigned kMaxBatchWords = 4;
-inline constexpr unsigned kMaxBatchLanes = kMaxBatchWords * 64;
-
-constexpr void wn_splat(Word64* a, unsigned n, Val v) {
-  const Word64 w = splat64(v);
-  for (unsigned i = 0; i < n; ++i) a[i] = w;
-}
-constexpr void wn_copy(Word64* dst, const Word64* src, unsigned n) {
-  for (unsigned i = 0; i < n; ++i) dst[i] = src[i];
-}
-constexpr void wn_and(Word64* acc, const Word64* b, unsigned n) {
-  for (unsigned i = 0; i < n; ++i) acc[i] = w_and(acc[i], b[i]);
-}
-constexpr void wn_or(Word64* acc, const Word64* b, unsigned n) {
-  for (unsigned i = 0; i < n; ++i) acc[i] = w_or(acc[i], b[i]);
-}
-constexpr void wn_xor(Word64* acc, const Word64* b, unsigned n) {
-  for (unsigned i = 0; i < n; ++i) acc[i] = w_xor(acc[i], b[i]);
-}
-constexpr void wn_not(Word64* a, unsigned n) {
-  for (unsigned i = 0; i < n; ++i) a[i] = w_not(a[i]);
-}
-
-/// All lanes of `a` and `b` hold identical values.
-constexpr bool wn_eq(const Word64* a, const Word64* b, unsigned n) {
-  std::uint64_t diff = 0;
-  for (unsigned i = 0; i < n; ++i) {
-    diff |= (a[i].l ^ b[i].l) | (a[i].h ^ b[i].h);
-  }
-  return diff == 0;
-}
-
-/// Read lane `lane` (0 .. 64n-1) back as a scalar value.
-constexpr Val wn_get(const Word64* a, unsigned lane) {
-  return w_get(a[lane >> 6], lane & 63u);
-}
-
-/// Set lane `lane` (0 .. 64n-1) to a scalar value.
-constexpr void wn_set(Word64* a, unsigned lane, Val v) {
-  w_set(a[lane >> 6], lane & 63u, v);
-}
-
 }  // namespace cfs

@@ -149,60 +149,5 @@ TEST(DualRail, AlgebraicIdentitiesOnMixedWords) {
   }
 }
 
-// Multi-word (up to kMaxBatchLanes) extensions: the wn_* ops must behave
-// as the Word64 op applied word-wise, with wn_get/wn_set addressing lanes
-// across word boundaries.
-TEST(DualRail, MultiWordOpsMatchPerWordAndPerLaneSemantics) {
-  for (unsigned n = 1; n <= kMaxBatchWords; ++n) {
-    std::array<Word64, kMaxBatchWords> a{}, b{}, r{};
-    std::array<std::array<Val, 64 * kMaxBatchWords>, 2> lanes{};
-    for (unsigned i = 0; i < n * 64; ++i) {
-      const Val va = kVals[i % 3];
-      const Val vb = kVals[(i / 3 + i) % 3];
-      wn_set(a.data(), i, va);
-      wn_set(b.data(), i, vb);
-      lanes[0][i] = va;
-      lanes[1][i] = vb;
-    }
-    // Round trip through wn_get, across word boundaries.
-    for (unsigned i = 0; i < n * 64; ++i) {
-      ASSERT_EQ(wn_get(a.data(), i), lanes[0][i]) << "n=" << n << " i=" << i;
-    }
-    // Each op lane-wise equals the scalar truth table.
-    wn_copy(r.data(), a.data(), n);
-    wn_and(r.data(), b.data(), n);
-    for (unsigned i = 0; i < n * 64; ++i) {
-      ASSERT_EQ(wn_get(r.data(), i), v_and(lanes[0][i], lanes[1][i]));
-    }
-    wn_copy(r.data(), a.data(), n);
-    wn_or(r.data(), b.data(), n);
-    for (unsigned i = 0; i < n * 64; ++i) {
-      ASSERT_EQ(wn_get(r.data(), i), v_or(lanes[0][i], lanes[1][i]));
-    }
-    wn_copy(r.data(), a.data(), n);
-    wn_xor(r.data(), b.data(), n);
-    for (unsigned i = 0; i < n * 64; ++i) {
-      ASSERT_EQ(wn_get(r.data(), i), v_xor(lanes[0][i], lanes[1][i]));
-    }
-    wn_copy(r.data(), a.data(), n);
-    wn_not(r.data(), n);
-    for (unsigned i = 0; i < n * 64; ++i) {
-      ASSERT_EQ(wn_get(r.data(), i), v_not(lanes[0][i]));
-    }
-    // wn_eq is exact equality over all covered lanes.
-    wn_copy(r.data(), a.data(), n);
-    EXPECT_TRUE(wn_eq(r.data(), a.data(), n));
-    wn_set(r.data(), n * 64 - 1, v_not(wn_get(a.data(), n * 64 - 1)) == Val::X
-                                     ? Val::One
-                                     : v_not(wn_get(a.data(), n * 64 - 1)));
-    EXPECT_FALSE(wn_eq(r.data(), a.data(), n));
-    // wn_splat fills every covered lane.
-    wn_splat(r.data(), n, Val::One);
-    for (unsigned i = 0; i < n * 64; ++i) {
-      ASSERT_EQ(wn_get(r.data(), i), Val::One);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace cfs

@@ -461,7 +461,7 @@ TEST(StatsJson, RoundTripMatchesRun) {
   write_run_stats_json(os, meta, r);
   const Json doc = parse_json(os.str());
 
-  EXPECT_EQ(doc.at("schema_version").num(), 2.0);
+  EXPECT_EQ(doc.at("schema_version").num(), 3.0);
   EXPECT_EQ(doc.at("meta").at("circuit").str(), "counter6");
   EXPECT_EQ(doc.at("meta").at("threads").num(), 2.0);
   EXPECT_EQ(doc.at("meta").at("ff_init").str(), "0");

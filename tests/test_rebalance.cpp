@@ -1,6 +1,6 @@
 // Dynamic shard rebalancing: weighted LPT partitioning determinism, the
 // partition-invariance of live-element weights, bit-identical results
-// across threads x batch x rebalance policy (status, detection order,
+// across threads x rebalance policy (status, detection order,
 // deterministic counters, campaign digest), checkpoint/resume composition,
 // and the rebalance telemetry (SimStats, timeline samples).
 #include <gtest/gtest.h>
@@ -216,7 +216,7 @@ TEST(Rebalance, SingleShardIsANoOp) {
 }
 
 // ---------------------------------------------------------------------------
-// threads x batch x rebalance grid: everything deterministic is invariant
+// threads x rebalance grid: everything deterministic is invariant
 // ---------------------------------------------------------------------------
 
 struct GridResult {
@@ -227,10 +227,9 @@ struct GridResult {
 
 GridResult run_grid_point(const Circuit& c, const FaultUniverse& u,
                           const TestSuite& t, unsigned threads,
-                          unsigned batch, const RebalancePolicy& rp) {
+                          const RebalancePolicy& rp) {
   ShardedOptions so;
   so.num_threads = threads;
-  so.batch_width = batch;
   so.rebalance = rp;
   ShardedSim sim(c, u, so);
   GridResult g;
@@ -255,7 +254,7 @@ TEST(RebalanceGrid, StatusOrderAndCountersInvariant) {
   t.sequences().push_back(PatternSet::random(c.inputs().size(), 24, 10));
 
   const GridResult ref =
-      run_grid_point(c, u, t, 1, 1, RebalancePolicy{});
+      run_grid_point(c, u, t, 1, RebalancePolicy{});
   // Coverage from the status vector, not the counters: the suite must
   // actually detect something even in OBS-off builds where the counter
   // registry (and with it GridResult's hard/potential/dropped, compared
@@ -265,18 +264,15 @@ TEST(RebalanceGrid, StatusOrderAndCountersInvariant) {
   const RebalancePolicy policies[] = {RebalancePolicy{},
                                       auto_policy(1.05, 2), every_n(3)};
   for (unsigned threads : {1u, 2u, 4u}) {
-    for (unsigned batch : {1u, 64u}) {
-      for (const RebalancePolicy& rp : policies) {
-        const GridResult g = run_grid_point(c, u, t, threads, batch, rp);
-        const std::string at = "threads=" + std::to_string(threads) +
-                               " batch=" + std::to_string(batch) + " mode=" +
-                               std::to_string(static_cast<int>(rp.mode));
-        EXPECT_EQ(g.status, ref.status) << at;
-        EXPECT_EQ(g.observations, ref.observations) << at;
-        EXPECT_EQ(g.hard, ref.hard) << at;
-        EXPECT_EQ(g.potential, ref.potential) << at;
-        EXPECT_EQ(g.dropped, ref.dropped) << at;
-      }
+    for (const RebalancePolicy& rp : policies) {
+      const GridResult g = run_grid_point(c, u, t, threads, rp);
+      const std::string at = "threads=" + std::to_string(threads) + " mode=" +
+                             std::to_string(static_cast<int>(rp.mode));
+      EXPECT_EQ(g.status, ref.status) << at;
+      EXPECT_EQ(g.observations, ref.observations) << at;
+      EXPECT_EQ(g.hard, ref.hard) << at;
+      EXPECT_EQ(g.potential, ref.potential) << at;
+      EXPECT_EQ(g.dropped, ref.dropped) << at;
     }
   }
 }

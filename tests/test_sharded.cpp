@@ -2,7 +2,8 @@
 // cover, and ShardedSim produces bit-for-bit the single-engine detection
 // status, coverage, and PO-mismatch observation stream for any thread
 // count, across every CsimOptions variant, macro mode, and the transition
-// model.
+// model -- per vector, and over whole multi-sequence suites through both
+// run() drivers and the harness runners.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +15,9 @@
 #include "core/sim_model.h"
 #include "faults/partition.h"
 #include "gen/circuit_gen.h"
+#include "harness/runner.h"
 #include "netlist/macro_extract.h"
+#include "obs/counters.h"
 #include "patterns/pattern.h"
 #include "sim/sharded_sim.h"
 #include "util/error.h"
@@ -272,6 +275,155 @@ TEST(ShardedSim, ObservationStreamMatchesSingleEngine) {
     sim.reset(Val::Zero);
     for (; vec < p.size(); ++vec) sim.apply_vector(p[vec]);
     EXPECT_EQ(got, want) << k << " shards";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Whole-suite run(): multi-sequence suites through the coarse driver (no
+// observer) and the lockstep driver (observer attached). The ShardedBatch
+// suite name dates from the removed pattern-lane batch axis; these cases keep
+// its ids and check the threads axis that remains.
+// ---------------------------------------------------------------------------
+
+Circuit make_comb_circuit(std::uint64_t seed, unsigned gates) {
+  GenProfile gp;
+  gp.name = "shard-comb" + std::to_string(seed);
+  gp.num_pis = 10;
+  gp.num_pos = 6;
+  gp.num_dffs = 0;
+  gp.num_gates = gates;
+  gp.seed = seed;
+  return generate_circuit(gp);
+}
+
+// `n` sequences of assorted lengths (1..9 vectors), each from a reset.
+TestSuite multi_seq_suite(std::size_t num_inputs, std::size_t n,
+                          std::uint64_t seed, unsigned x_permille = 50) {
+  TestSuite t;
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t len = 1 + (s * 7 + 3) % 9;
+    t.sequences().push_back(
+        PatternSet::random(num_inputs, len, seed + s, x_permille));
+  }
+  return t;
+}
+
+struct SuiteRecord {
+  std::vector<Detect> status;
+  std::vector<std::tuple<std::uint32_t, std::uint32_t, bool>> observations;
+  std::uint64_t hard = 0, potential = 0, dropped = 0;
+};
+
+SuiteRecord run_suite(const Circuit& c, const FaultUniverse& u,
+                      const TestSuite& t, unsigned threads, bool observe,
+                      const MacroFaultMap* mmap = nullptr) {
+  ShardedOptions sopt;
+  sopt.num_threads = threads;
+  ShardedSim sim(c, u, sopt, mmap);
+  SuiteRecord r;
+  if (observe) {
+    sim.set_detection_observer(
+        [&r](std::uint32_t fault, std::uint32_t po, bool hard) {
+          r.observations.emplace_back(fault, po, hard);
+        });
+  }
+  sim.run(t, Val::X);
+  r.status = sim.status();
+  const obs::Counters& cnt = sim.stats().total.counters;
+  r.hard = cnt.get(obs::Counter::DetectionsHard);
+  r.potential = cnt.get(obs::Counter::DetectionsPotential);
+  r.dropped = cnt.get(obs::Counter::FaultsDropped);
+  return r;
+}
+
+void expect_same_run(const SuiteRecord& got, const SuiteRecord& want,
+                     const std::string& where) {
+  EXPECT_EQ(got.status, want.status) << where;
+  EXPECT_EQ(got.observations, want.observations) << where;
+  EXPECT_EQ(got.hard, want.hard) << where;
+  EXPECT_EQ(got.potential, want.potential) << where;
+  EXPECT_EQ(got.dropped, want.dropped) << where;
+}
+
+TEST(ShardedBatch, StuckAtInvariantAcrossBatchAndThreads) {
+  const Circuit c = make_test_circuit(911, 260);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const TestSuite t = multi_seq_suite(c.inputs().size(), 9, 400);
+
+  const SuiteRecord ref = run_suite(c, u, t, 1, /*observe=*/true);
+  EXPECT_FALSE(ref.observations.empty());
+  SuiteRecord coarse_ref = ref;
+  coarse_ref.observations.clear();
+  for (unsigned threads : {2u, 4u}) {
+    const std::string at = "threads " + std::to_string(threads);
+    expect_same_run(run_suite(c, u, t, threads, true), ref, "lockstep, " + at);
+    expect_same_run(run_suite(c, u, t, threads, false), coarse_ref,
+                    "coarse, " + at);
+  }
+}
+
+TEST(ShardedBatch, CombinationalInvariantAcrossBatchAndThreads) {
+  const Circuit c = make_comb_circuit(19, 240);
+  ASSERT_TRUE(c.dffs().empty());
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const TestSuite t = multi_seq_suite(c.inputs().size(), 3, 500, 100);
+
+  const SuiteRecord ref = run_suite(c, u, t, 1, /*observe=*/true);
+  EXPECT_FALSE(ref.observations.empty());
+  SuiteRecord coarse_ref = ref;
+  coarse_ref.observations.clear();
+  for (unsigned threads : {2u, 4u}) {
+    const std::string at = "threads " + std::to_string(threads);
+    expect_same_run(run_suite(c, u, t, threads, true), ref, "lockstep, " + at);
+    expect_same_run(run_suite(c, u, t, threads, false), coarse_ref,
+                    "coarse, " + at);
+  }
+}
+
+TEST(ShardedBatch, MacroModeInvariant) {
+  const Circuit c = make_test_circuit(912, 200);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const MacroExtraction ext = extract_macros(c);
+  const MacroFaultMap mmap = map_faults_to_macros(c, ext, u);
+  const TestSuite t = multi_seq_suite(c.inputs().size(), 6, 600);
+
+  const SuiteRecord ref =
+      run_suite(ext.circuit, u, t, 1, /*observe=*/false, &mmap);
+  for (unsigned threads : {2u, 4u}) {
+    expect_same_run(run_suite(ext.circuit, u, t, threads, false, &mmap), ref,
+                    "threads " + std::to_string(threads));
+  }
+}
+
+TEST(ShardedBatch, TransitionModeInvariant) {
+  const Circuit c = make_test_circuit(913, 180);
+  const FaultUniverse u = FaultUniverse::all_transition(c);
+  const TestSuite t = multi_seq_suite(c.inputs().size(), 6, 700);
+
+  const RunResult ref = run_csim_transition(c, u, t, Val::X, true);
+  for (unsigned threads : {1u, 2u, 4u}) {
+    const RunResult got =
+        run_csim_transition_sharded(c, u, t, threads, Val::X, true);
+    EXPECT_EQ(got.cov.hard, ref.cov.hard) << "threads " << threads;
+    EXPECT_EQ(got.cov.potential, ref.cov.potential) << "threads " << threads;
+    EXPECT_EQ(got.cov.total, ref.cov.total);
+  }
+}
+
+TEST(ShardedBatch, RunnerParityWithSingleEngine) {
+  const Circuit c = make_test_circuit(914, 160);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const TestSuite t = multi_seq_suite(c.inputs().size(), 8, 800);
+
+  for (CsimVariant v : {CsimVariant::V, CsimVariant::MV}) {
+    const RunResult base = run_csim(c, u, t, v, Val::X);
+    for (unsigned threads : {1u, 2u}) {
+      const RunResult got = run_csim_sharded(c, u, t, v, threads, Val::X);
+      EXPECT_EQ(got.cov.hard, base.cov.hard)
+          << variant_name(v) << " threads " << threads;
+      EXPECT_EQ(got.cov.potential, base.cov.potential);
+      EXPECT_EQ(got.cov.total, base.cov.total);
+    }
   }
 }
 

@@ -406,6 +406,8 @@ TEST(SvcIsolation, InterleavedSessionsKeepIndependentResults) {
   ASSERT_TRUE(call(s, open_request("alpha", c27, t27, ",\"threads\":2"))
                   .find("ok")
                   ->as_bool());
+  // beta still sends the retired "batch" key: open ignores it like any
+  // other unknown key.
   ASSERT_TRUE(call(s, open_request("beta", c298, t298, ",\"batch\":8"))
                   .find("ok")
                   ->as_bool());
@@ -427,9 +429,9 @@ TEST(SvcIsolation, InterleavedSessionsKeepIndependentResults) {
   }
   EXPECT_NE(da.req_string("digest"), db.req_string("digest"));
 
-  // Thread/batch knobs never change results: alpha's digest equals the
-  // single-threaded direct reference, beta's likewise (PR 2/3 invariants
-  // carried through the service layer).
+  // Neither the thread knob nor the ignored "batch" key changes results:
+  // alpha's digest equals the single-threaded direct reference, beta's
+  // likewise (the threads invariant carried through the service layer).
   char ref[32];
   std::snprintf(ref, sizeof ref, "%016llx",
                 static_cast<unsigned long long>(direct_digest(c27, t27)));

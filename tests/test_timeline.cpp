@@ -1,7 +1,7 @@
 // Telemetry layer (PR 7): power-of-two histogram bucket math, per-level
 // work profiles, the Timeline sample ring (wrap, sampling stride), the
 // determinism contract of the sample's deterministic section across the
-// --threads x --batch grid, JSONL streaming (lazy creation, append, resume
+// --threads grid, JSONL streaming (lazy creation, append, resume
 // trim, well-formedness, error diagnostics), and the progress meter's
 // rendering.
 #include <gtest/gtest.h>
@@ -203,7 +203,7 @@ TEST(Timeline, ObserverSeesEverySample) {
 }
 
 // ---------------------------------------------------------------------------
-// Determinism contract across the --threads x --batch grid
+// Determinism contract across --threads
 // ---------------------------------------------------------------------------
 
 struct DetTuple {
@@ -211,13 +211,13 @@ struct DetTuple {
   bool operator==(const DetTuple&) const = default;
 };
 
-std::vector<DetTuple> sampled_run(unsigned threads, unsigned batch) {
+std::vector<DetTuple> sampled_run(unsigned threads) {
   const Circuit c = make_counter(6);
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   const TestSuite t(PatternSet::random(c.inputs().size(), 48, 11));
   obs::Timeline tl(64);
   run_csim_sharded(c, u, t, CsimVariant::MV, threads, Val::Zero,
-                   /*drop_detected=*/true, /*trace=*/nullptr, batch, &tl);
+                   /*drop_detected=*/true, /*trace=*/nullptr, &tl);
   EXPECT_EQ(tl.size(), 48u);
   EXPECT_EQ(tl.num_shards(), threads);
   std::vector<DetTuple> out;
@@ -233,8 +233,9 @@ std::vector<DetTuple> sampled_run(unsigned threads, unsigned batch) {
   return out;
 }
 
+// The id predates the removal of the batch axis; the grid is threads only.
 TEST(Timeline, DeterministicSectionThreadAndBatchInvariant) {
-  const std::vector<DetTuple> ref = sampled_run(1, 1);
+  const std::vector<DetTuple> ref = sampled_run(1);
   ASSERT_EQ(ref.size(), 48u);
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(ref[i].vec, i);
   // Detections accumulate monotonically; live = universe - hard.
@@ -243,11 +244,8 @@ TEST(Timeline, DeterministicSectionThreadAndBatchInvariant) {
     EXPECT_EQ(ref[i].hard + ref[i].live_faults,
               ref[0].hard + ref[0].live_faults);
   }
-  for (unsigned threads : {1u, 2u, 4u}) {
-    for (unsigned batch : {1u, 64u}) {
-      EXPECT_EQ(sampled_run(threads, batch), ref)
-          << "threads=" << threads << " batch=" << batch;
-    }
+  for (unsigned threads : {2u, 4u}) {
+    EXPECT_EQ(sampled_run(threads), ref) << "threads=" << threads;
   }
 }
 
@@ -265,7 +263,7 @@ TEST(Timeline, JsonlStreamWellFormed) {
   obs::Timeline tl(8);  // ring smaller than the run: stream gets all samples
   tl.stream_to(path);
   run_csim_sharded(c, u, t, CsimVariant::MV, 2, Val::Zero,
-                   /*drop_detected=*/true, /*trace=*/nullptr, 1, &tl);
+                   /*drop_detected=*/true, /*trace=*/nullptr, &tl);
   tl.flush();
 
   const std::vector<std::string> lines = read_lines(path);

@@ -50,11 +50,17 @@ class Args {
   std::uint64_t get_u64(std::string_view key, std::uint64_t def) const {
     const std::string v = get(key);
     if (v.empty()) return def;
+    // stoull accepts a sign (and wraps "-1" to ULLONG_MAX) and leading
+    // blanks; an unsigned option starts with a digit or is rejected.
+    const auto bad = [&] {
+      return Error("option --" + std::string(key) + " expects a number, got '" +
+                   v + "'");
+    };
+    if (v[0] < '0' || v[0] > '9') throw bad();
     try {
       return std::stoull(v);
     } catch (...) {
-      throw Error("option --" + std::string(key) + " expects a number, got '" +
-                  v + "'");
+      throw bad();
     }
   }
 

@@ -9,11 +9,12 @@
 //                           serial|deductive]
 //                          [--tests=FILE | --random=N] [--seed=N]
 //                          [--reset0] [--transition] [--verbose]
-//                          [--threads=N] [--batch=N|auto]
+//                          [--threads=N]
 //                          [--rebalance=off|auto|N] [--rebalance-threshold=R]
 //
 // <circuit> is a .bench file path (contains '.' or '/') or the name of a
 // built-in ISCAS-89 profile benchmark (s27, s298, ..., s35932).
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -216,13 +217,12 @@ RebalancePolicy parse_rebalance(const Args& args) {
   } else if (spec == "auto") {
     rp.mode = RebalancePolicy::Mode::Auto;
   } else {
-    if (spec.empty() ||
-        spec.find_first_not_of("0123456789") != std::string::npos ||
-        spec == "0") {
+    const char* end = spec.data() + spec.size();
+    const auto [ptr, ec] = std::from_chars(spec.data(), end, rp.every);
+    if (ec != std::errc{} || ptr != end || rp.every == 0) {
       throw Error("--rebalance must be off, auto, or a period N >= 1");
     }
     rp.mode = RebalancePolicy::Mode::Every;
-    rp.every = std::stoull(spec);
   }
   if (args.has("rebalance-threshold")) {
     const std::string t = args.get("rebalance-threshold");
@@ -240,8 +240,7 @@ RebalancePolicy parse_rebalance(const Args& args) {
 // containment, memory-budget multi-pass degradation (resil/campaign.h).
 // Selected whenever any campaign flag is present.
 int run_campaign(const Args& args, const Circuit& c, const std::string& engine,
-                 Val ff_init, unsigned threads, unsigned batch,
-                 const TestSuite& tests) {
+                 Val ff_init, unsigned threads, const TestSuite& tests) {
   for (const char* bad : {"sample", "collapse", "stats-json"}) {
     if (args.has(bad)) {
       throw Error("--" + std::string(bad) +
@@ -256,10 +255,6 @@ int run_campaign(const Args& args, const Circuit& c, const std::string& engine,
   resil::CampaignOptions copt;
   copt.ff_init = ff_init;
   copt.sharded.num_threads = threads;
-  // Campaigns replay vector-by-vector (checkpoint boundaries demand it), so
-  // the scalar good machine runs regardless; accepting the flag keeps one
-  // command line valid across plain and campaign runs.
-  copt.sharded.batch_width = batch;
   copt.sharded.rebalance = parse_rebalance(args);
   copt.sharded.csim.split_lists = engine == "csim-mv" || engine == "csim-v";
   copt.sharded.csim.max_elements = args.get_u64("max-elements", 0);
@@ -374,7 +369,7 @@ int run_campaign(const Args& args, const Circuit& c, const std::string& engine,
 int cmd_sim(const Args& args) {
   args.allow_only(
       {"engine", "tests", "random", "seed", "reset0", "transition",
-       "verbose", "sample", "collapse", "threads", "batch", "trace",
+       "verbose", "sample", "collapse", "threads", "trace",
        "stats-json", "timeline", "progress", "sample-every",
        "rebalance", "rebalance-threshold",
        "checkpoint", "checkpoint-every", "resume", "max-elements", "retries",
@@ -382,25 +377,11 @@ int cmd_sim(const Args& args) {
   const Circuit c = load_circuit(args.positional().at(0));
   const std::string engine = args.get("engine", "csim-mv");
   const Val ff_init = args.has("reset0") ? Val::Zero : Val::X;
-  const unsigned threads =
-      static_cast<unsigned>(args.get_u64("threads", 1));
-  if (threads == 0) throw Error("--threads must be at least 1");
-
-  // --batch=N picks the pattern-lane width of the packed good machine
-  // (sim/batch_good_sim.h); "auto" means 64 for combinational circuits,
-  // where every vector is independent, and 1 for sequential ones, where
-  // lanes only pack across separate sequences.
-  const std::string batch_spec = args.get("batch", "auto");
-  unsigned batch = 1;
-  if (batch_spec == "auto") {
-    batch = c.dffs().empty() ? 64u : 1u;
-  } else {
-    const std::uint64_t n = args.get_u64("batch", 1);
-    if (n == 0 || n > kMaxBatchLanes) {
-      throw Error("--batch must be 1..256 (or auto)");
-    }
-    batch = static_cast<unsigned>(n);
+  const std::uint64_t threads_arg = args.get_u64("threads", 1);
+  if (threads_arg == 0 || threads_arg > kMaxThreads) {
+    throw Error("--threads must be 1.." + std::to_string(kMaxThreads));
   }
+  const auto threads = static_cast<unsigned>(threads_arg);
 
   TestSuite tests;
   if (args.has("tests")) {
@@ -423,9 +404,6 @@ int cmd_sim(const Args& args) {
   if (threads > 1 && !csim_engine) {
     throw Error("--threads supports the csim engines only");
   }
-  if (args.has("batch") && !csim_engine) {
-    throw Error("--batch supports the csim engines only");
-  }
   if ((args.has("rebalance") || args.has("rebalance-threshold")) &&
       !csim_engine) {
     throw Error("--rebalance supports the csim engines only");
@@ -444,7 +422,7 @@ int cmd_sim(const Args& args) {
     if (args.has("transition") && engine == "csim-m") {
       throw Error("--transition requires a csim engine");
     }
-    return run_campaign(args, c, engine, ff_init, threads, batch, tests);
+    return run_campaign(args, c, engine, ff_init, threads, tests);
   }
 
   // --trace and --timeline/--progress route through the sharded driver
@@ -483,8 +461,7 @@ int cmd_sim(const Args& args) {
   // engines only; the baselines have no sharded driver to sample).
   if (!stats_path.empty() && csim_engine) tl = &timeline;
 
-  const bool sharded =
-      threads > 1 || batch > 1 || tr != nullptr || tl != nullptr;
+  const bool sharded = threads > 1 || tr != nullptr || tl != nullptr;
 
   RunResult r;
   if (args.has("transition")) {
@@ -493,8 +470,7 @@ int cmd_sim(const Args& args) {
     }
     const FaultUniverse u = FaultUniverse::all_transition(c);
     r = sharded ? run_csim_transition_sharded(c, u, tests, threads, ff_init,
-                                              engine != "csim", tr, batch,
-                                              tl, rpol)
+                                              engine != "csim", tr, tl, rpol)
                 : run_csim_transition(c, u, tests, ff_init,
                                       engine != "csim");
   } else if (args.has("sample")) {
@@ -503,8 +479,7 @@ int cmd_sim(const Args& args) {
         full, sample_faults(full, args.get_u64("sample", 1000),
                             args.get_u64("seed", 1) + 1));
     r = sharded ? run_csim_sharded(c, sub.universe, tests, CsimVariant::V,
-                                   threads, ff_init, true, tr, batch, tl,
-                                   rpol)
+                                   threads, ff_init, true, tr, tl, rpol)
                 : run_csim(c, sub.universe, tests, CsimVariant::V, ff_init);
     r.sim_name += " (sampled " + std::to_string(sub.universe.size()) + "/" +
                   std::to_string(full.size()) + ")";
@@ -515,7 +490,6 @@ int cmd_sim(const Args& args) {
     Stopwatch sw;
     ShardedOptions sopt;
     sopt.num_threads = threads;
-    sopt.batch_width = batch;
     sopt.rebalance = rpol;
     ShardedSim sim(c, reps.universe, sopt);
     if (tr != nullptr) sim.set_trace(tr);
@@ -523,7 +497,6 @@ int cmd_sim(const Args& args) {
     sim.run(tests, ff_init);
     r.cpu_s = sw.seconds();
     r.threads = sim.num_shards();
-    r.batch = batch;
     r.sim_name = "csim-V (collapsed " + std::to_string(reps.universe.size()) +
                  " classes)";
     r.mem_bytes = sim.bytes() + c.bytes();
@@ -534,7 +507,7 @@ int cmd_sim(const Args& args) {
     const FaultUniverse u = FaultUniverse::all_stuck_at(c);
     const auto run_variant = [&](CsimVariant v) {
       return sharded ? run_csim_sharded(c, u, tests, v, threads, ff_init,
-                                        true, tr, batch, tl, rpol)
+                                        true, tr, tl, rpol)
                      : run_csim(c, u, tests, v, ff_init);
     };
     if (engine == "csim-mv") {
@@ -579,10 +552,6 @@ int cmd_sim(const Args& args) {
   if (r.threads > 1) {
     std::printf("threads   %u fault shards over one shared model\n",
                 r.threads);
-  }
-  if (r.batch > 1) {
-    std::printf("batch     %u pattern lanes per packed good-machine pass\n",
-                r.batch);
   }
   if (r.stats.rebalances > 0) {
     std::printf("rebal     %llu repartitions, %llu faults (%llu elements) "
@@ -641,7 +610,7 @@ int connect_error_exit(const std::string& code, const std::string& message) {
 // With --status/--cancel/--stats/--shutdown, perform that single op.
 int cmd_connect(const Args& args) {
   args.allow_only({"session", "circuit", "tests", "random", "seed", "mode",
-                   "threads", "batch", "elements", "reset0", "wait-ms",
+                   "threads", "elements", "reset0", "wait-ms",
                    "quiet", "status", "cancel", "stats", "shutdown"});
   const std::string sock = args.positional().at(0);
   const bool quiet = args.has("quiet");
@@ -688,7 +657,6 @@ int cmd_connect(const Args& args) {
   req += ",\"tests\":\"" + svc::json_escape(tests.to_text()) + "\"";
   req += ",\"mode\":\"" + svc::json_escape(args.get("mode", "sa")) + "\"";
   req += ",\"threads\":" + std::to_string(args.get_u64("threads", 1));
-  req += ",\"batch\":" + std::to_string(args.get_u64("batch", 1));
   if (args.has("elements")) {
     req += ",\"elements\":" + std::to_string(args.get_u64("elements", 0));
   }
@@ -784,7 +752,6 @@ int usage() {
       "  compact  <circuit> --tests=F [--out=F2] [--reset0]\n"
       "  sim      <circuit> [--engine=E] [--tests=F|--random=N] [--seed=N]\n"
       "           [--reset0] [--transition] [--verbose] [--threads=N]\n"
-      "           [--batch=N|auto]\n"
       "           [--sample=N | --collapse] [--trace=F]\n"
       "           [--stats-json=F] [--timeline=F] [--progress]\n"
       "           [--sample-every=N]\n"
@@ -796,7 +763,7 @@ int usage() {
       "           [--sleep-ms=N]\n"
       "  connect  <socket> --session=NAME       talk to a cfsd daemon\n"
       "           [--circuit=C] [--tests=F|--random=N] [--seed=N]\n"
-      "           [--mode=sa|sa-macro|tr] [--threads=N] [--batch=N]\n"
+      "           [--mode=sa|sa-macro|tr] [--threads=N]\n"
       "           [--elements=N] [--reset0] [--wait-ms=N] [--quiet]\n"
       "           [--status | --cancel | --stats | --shutdown]\n"
       "engines: csim-mv csim-v csim-m csim proofs serial deductive\n"

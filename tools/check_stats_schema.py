@@ -5,12 +5,6 @@ Pure-stdlib implementation of the JSON Schema subset the pin actually uses:
 type, properties, required, additionalProperties, items, enum, minimum.
 Exits 0 on success, 1 with a list of violations otherwise.
 
-The pinned shape includes the two-dimensional parallelism fields: meta.batch
-(pattern-lane width, >= 1 next to meta.threads) and the packed good-machine
-counters batch_words_evaluated / batch_lanes_wasted, required in
-totals.counters (zero on scalar runs); the driver timers may carry a
-good_batch phase on batched runs.
-
 It also pins the telemetry blocks (obs/timeline.h, obs/histogram.h): a
 top-level "timeline" object (always present; zero-dimension and empty when
 the run was not sampled) and, in totals and every engines[] entry, the
@@ -22,7 +16,9 @@ deliberately does not require non-zero counts.
 The dynamic-rebalancing telemetry (sim/sharded_sim.h) is pinned too: a
 top-level "rebalance" object (rebalances / faults_migrated /
 elements_migrated, zero unless --rebalance fired) and a cumulative
-"rebalances" field in every timeline sample's work section.
+"rebalances" field in every timeline sample's work section.  The same
+three driver-side counters are required in totals.counters (no engine owns
+them, so they appear in the totals only).
 
 Usage: check_stats_schema.py <stats.json> [schema.json]
 """
