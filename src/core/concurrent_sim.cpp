@@ -764,7 +764,10 @@ void ConcurrentSim::refresh_source_site(GateId g) {
 }
 
 void ConcurrentSim::reset(Val ff_init, bool clear_status) {
-  if (clear_status) status_.assign(model_->num_faults(), Detect::None);
+  if (clear_status) {
+    status_.assign(model_->num_faults(), Detect::None);
+    owned_hard_ = owned_potential_ = 0;
+  }
   // Every update scope flushes, but belt and braces before the pool is
   // reshaped underneath parked indices / recorded anchors.  Between
   // sequences the queue still holds the last clock's flip-flop fanout
@@ -921,6 +924,7 @@ void ConcurrentSim::restore_run_state(const RunStateSnapshot& s,
     throw Error("restore_run_state: previous-value table size mismatch");
   }
   status_ = status;
+  count_owned_verdicts();
   // Tear everything down from scratch.  The engine may be a half-merged
   // wreck (an exception escaped mid-settle, e.g. PoolBudgetError), so no
   // list or queue invariant can be relied on: drop parked splices, clear
@@ -969,6 +973,21 @@ void ConcurrentSim::set_shard(const FaultPartition& part,
     base_excluded_[id] = part.shard_of(id) == shard_index ? 0 : 1;
   }
   excluded_ = base_excluded_;
+  count_owned_verdicts();
+}
+
+void ConcurrentSim::adopt_status(const std::vector<Detect>& status) {
+  status_ = status;
+  count_owned_verdicts();
+}
+
+void ConcurrentSim::count_owned_verdicts() {
+  owned_hard_ = owned_potential_ = 0;
+  for (std::size_t id = 0; id < status_.size(); ++id) {
+    if (!base_excluded_.empty() && base_excluded_[id]) continue;
+    owned_hard_ += status_[id] == Detect::Hard;
+    owned_potential_ += status_[id] == Detect::Potential;
+  }
 }
 
 void ConcurrentSim::accumulate_live_weights(
@@ -1019,7 +1038,9 @@ void ConcurrentSim::record_detect(std::uint32_t fault, Val good, Val faulty,
   if (!is_binary(good)) return;
   if (is_binary(faulty) && faulty != good) {
     if (status_[fault] != Detect::Hard) {
+      if (status_[fault] == Detect::Potential) --owned_potential_;
       status_[fault] = Detect::Hard;
+      ++owned_hard_;
       ++newly;
       CFS_COUNT(counters_, DetectionsHard);
       if (opt_.drop_detected) {
@@ -1029,6 +1050,7 @@ void ConcurrentSim::record_detect(std::uint32_t fault, Val good, Val faulty,
     }
   } else if (faulty == Val::X && status_[fault] == Detect::None) {
     status_[fault] = Detect::Potential;
+    ++owned_potential_;
     CFS_COUNT(counters_, DetectionsPotential);
   }
 }

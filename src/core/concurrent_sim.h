@@ -135,7 +135,7 @@ class ConcurrentSim {
   /// sequence boundary must know which faults are already hard-detected so
   /// event-driven dropping keeps them out of the rebuilt lists.  List
   /// contents change at the next reset()/restore_run_state(), not here.
-  void adopt_status(const std::vector<Detect>& status) { status_ = status; }
+  void adopt_status(const std::vector<Detect>& status);
 
   /// Overlay mask (size num_faults or empty): marked faults are suspended
   /// -- treated exactly like faults of a foreign shard until the next
@@ -180,6 +180,11 @@ class ConcurrentSim {
   // -- results ------------------------------------------------------------
   const std::vector<Detect>& status() const { return status_; }
   Coverage coverage() const { return summarize(status_); }
+  /// Faults this engine owns (its shard, suspended ones included) whose
+  /// verdict is Hard / Potential right now: kept current as verdicts
+  /// change, so a driver totals coverage without scanning status().
+  std::uint64_t owned_hard() const { return owned_hard_; }
+  std::uint64_t owned_potential() const { return owned_potential_; }
 
   /// Observer invoked on every output mismatch during sampling (including
   /// repeats for already-detected faults when dropping is off): arguments
@@ -432,6 +437,9 @@ class ConcurrentSim {
   void commit_masters();
   void record_detect(std::uint32_t fault, Val good, Val faulty,
                      std::size_t& newly);
+  // Recount owned_hard_/owned_potential_ after status_ or ownership was
+  // replaced wholesale.
+  void count_owned_verdicts();
 
   // Transition-mode helpers.
   std::size_t apply_vector_transition(std::span<const Val> pi_vals);
@@ -444,6 +452,8 @@ class ConcurrentSim {
   bool transition_mode_ = false;
 
   std::vector<Detect> status_;
+  // Owned-fault verdict tallies (owned_hard()/owned_potential()).
+  std::uint64_t owned_hard_ = 0, owned_potential_ = 0;
   // Effective exclusion mask: 1 = fault never simulated here, because it is
   // owned by another shard (base_excluded_) or suspended by the multi-pass
   // overlay (set_suspended).  All-zero when the engine covers the whole

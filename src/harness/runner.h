@@ -21,8 +21,8 @@ struct RunResult {
   std::size_t mem_bytes = 0;
   Coverage cov;
   std::uint64_t activity = 0;  ///< scalar gate evals or word evals
-  unsigned threads = 1;        ///< shards actually used (sharded runs)
-  SimStats stats;              ///< per-engine breakdown (csim runs)
+  unsigned threads = 1;        ///< fault shards actually used (csim runs)
+  SimStats stats;              ///< per-shard breakdown (csim runs)
   /// Harness-side envelope: the whole-suite Run phase.  The tables' CPU
   /// column and the telemetry export both read this one accumulator.
   obs::PhaseTimers run_timers;
@@ -39,12 +39,23 @@ enum class CsimVariant {
 std::string variant_name(CsimVariant v);
 
 /// Run a csim variant over a test suite (each sequence applied from the
-/// reset state); for M/MV the macro extraction and fault mapping are built
-/// inside and counted in memory, while the reported CPU time covers only
-/// the simulation itself, matching the paper's focus.
+/// reset state) on `num_threads` fault shards over one shared SimModel
+/// (sim/sharded_sim.h); one shard is the plain engine.  Detection status
+/// and coverage are bit-for-bit identical for any thread count.  For M/MV
+/// the macro extraction and fault mapping are built inside and counted in
+/// memory, while the reported CPU time covers only the simulation itself,
+/// matching the paper's focus.  `trace`, when given, receives one
+/// Chrome-trace track per shard (obs/trace.h); `timeline`, when given,
+/// samples the run per vector (obs/timeline.h); both must outlive the
+/// call.  `rebalance` configures dynamic ownership repartitioning --
+/// bit-identical results for every policy.
 RunResult run_csim(const Circuit& c, const FaultUniverse& u,
                    const TestSuite& t, CsimVariant variant,
-                   Val ff_init = Val::X, bool drop_detected = true);
+                   Val ff_init = Val::X, bool drop_detected = true,
+                   unsigned num_threads = 1,
+                   obs::TraceEmitter* trace = nullptr,
+                   obs::Timeline* timeline = nullptr,
+                   const RebalancePolicy& rebalance = {});
 
 /// PROOFS-style baseline run.
 RunResult run_proofs(const Circuit& c, const FaultUniverse& u,
@@ -54,38 +65,15 @@ RunResult run_proofs(const Circuit& c, const FaultUniverse& u,
 RunResult run_serial(const Circuit& c, const FaultUniverse& u,
                      const TestSuite& t, Val ff_init = Val::X);
 
-/// Transition-fault run (csim transition engine; no macros).
+/// Transition-fault run (csim transition engine; no macros), with the
+/// same sharding and telemetry parameters as run_csim().
 RunResult run_csim_transition(const Circuit& c, const FaultUniverse& u,
                               const TestSuite& t, Val ff_init = Val::X,
-                              bool split_lists = true);
-
-/// Sharded multi-threaded csim run: `num_threads` shard engines over one
-/// shared SimModel (see sim/sharded_sim.h).  Detection status and coverage
-/// are bit-for-bit identical to the single-threaded variant for any thread
-/// count.  `trace`, when given, receives one Chrome-trace track per shard
-/// (obs/trace.h) and must outlive the call;
-/// `timeline`, when given, samples the run per vector (obs/timeline.h,
-/// forcing the lockstep driver) and must outlive the call too.
-/// `rebalance` configures dynamic ownership repartitioning
-/// (sim/sharded_sim.h) -- bit-identical results for every policy.
-RunResult run_csim_sharded(const Circuit& c, const FaultUniverse& u,
-                           const TestSuite& t, CsimVariant variant,
-                           unsigned num_threads, Val ff_init = Val::X,
-                           bool drop_detected = true,
-                           obs::TraceEmitter* trace = nullptr,
-                           obs::Timeline* timeline = nullptr,
-                           const RebalancePolicy& rebalance = {});
-
-/// Sharded transition-fault run.
-RunResult run_csim_transition_sharded(const Circuit& c,
-                                      const FaultUniverse& u,
-                                      const TestSuite& t,
-                                      unsigned num_threads,
-                                      Val ff_init = Val::X,
-                                      bool split_lists = true,
-                                      obs::TraceEmitter* trace = nullptr,
-                                      obs::Timeline* timeline = nullptr,
-                                      const RebalancePolicy& rebalance = {});
+                              bool split_lists = true,
+                              unsigned num_threads = 1,
+                              obs::TraceEmitter* trace = nullptr,
+                              obs::Timeline* timeline = nullptr,
+                              const RebalancePolicy& rebalance = {});
 
 // Single-sequence conveniences.
 inline RunResult run_csim(const Circuit& c, const FaultUniverse& u,

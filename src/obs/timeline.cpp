@@ -26,10 +26,11 @@ void Timeline::set_num_shards(unsigned k) {
   for (TimelineSample& s : ring_) s.shards.resize(k);
 }
 
-std::uint64_t Timeline::now_us() const {
-  const auto d = std::chrono::steady_clock::now() - t0_;
+std::uint64_t Timeline::us_at(
+    std::chrono::steady_clock::time_point tp) const {
+  if (tp < t0_) return 0;
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+      std::chrono::duration_cast<std::chrono::microseconds>(tp - t0_).count());
 }
 
 void Timeline::record(const TimelineSample& s) {

@@ -43,7 +43,7 @@ class JsonWriter;
 struct ShardSample {
   std::uint64_t live_faults = 0;    ///< owned faults not yet hard-detected
   std::uint64_t live_elements = 0;  ///< shard pool live fault-list elements
-  std::uint64_t latency_us = 0;     ///< this shard's apply_vector wall time
+  std::uint64_t latency_us = 0;     ///< this shard's wall time on the vector
 };
 
 struct TimelineSample {
@@ -61,7 +61,9 @@ struct TimelineSample {
   std::uint64_t rebalances = 0;     ///< cumulative dynamic repartitions
   // Wall section: never deterministic.
   std::uint64_t t_us = 0;        ///< since Timeline construction
-  std::uint64_t latency_us = 0;  ///< driver wall time of this vector
+  /// Wall time from the first shard starting this vector to the last one
+  /// finishing it; a one-vector epoch's fork-to-join time.
+  std::uint64_t latency_us = 0;
   // Per-shard attribution (size = driver shard count).
   std::vector<ShardSample> shards;
 };
@@ -83,7 +85,11 @@ class Timeline {
   unsigned num_shards() const { return num_shards_; }
 
   /// Microseconds since construction (the wall section's time base).
-  std::uint64_t now_us() const;
+  std::uint64_t now_us() const {
+    return us_at(std::chrono::steady_clock::now());
+  }
+  /// `tp` on the same time base (0 for instants before construction).
+  std::uint64_t us_at(std::chrono::steady_clock::time_point tp) const;
 
   /// Record one sample (driver thread only).  `s.shards` must have
   /// exactly num_shards() entries.  Copies into the ring without

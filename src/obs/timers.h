@@ -30,7 +30,7 @@ enum class Phase : unsigned {
   DropPass,    ///< PO sampling, detection bookkeeping, lazy drop unlinking
   Clocking,    ///< flip-flop capture and master commit (no propagation:
                ///< the next vector's FaultProp settle drains Q's fanouts)
-  ShardMerge,  ///< merging shard verdicts / replaying observations
+  ShardMerge,  ///< merging shard verdicts into the master status (driver)
   Rebalance,   ///< dynamic repartition: capture + LPT pack + restore (driver)
   Run,         ///< whole-suite envelope (the tables' CPU column)
   kCount

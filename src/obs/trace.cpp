@@ -51,27 +51,28 @@ void atomic_write(const std::string& path, const std::string& content,
 
 TraceEmitter::TraceEmitter() : t0_(std::chrono::steady_clock::now()) {}
 
-std::uint64_t TraceEmitter::now_us() const {
-  const auto d = std::chrono::steady_clock::now() - t0_;
+std::uint64_t TraceEmitter::us_at(
+    std::chrono::steady_clock::time_point tp) const {
+  if (tp < t0_) return 0;
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+      std::chrono::duration_cast<std::chrono::microseconds>(tp - t0_).count());
 }
 
 void TraceEmitter::name_track(std::uint32_t tid, const std::string& name) {
   std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(Event{'M', tid, 0, 0, name});
+  events_.push_back(Event{'M', tid, 0, 0, name, {}});
 }
 
 void TraceEmitter::complete(std::uint32_t tid, const std::string& name,
                             std::uint64_t ts_us, std::uint64_t dur_us) {
   std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(Event{'X', tid, ts_us, dur_us, name});
+  events_.push_back(Event{'X', tid, ts_us, dur_us, name, {}});
 }
 
 void TraceEmitter::instant(std::uint32_t tid, const std::string& name,
                            std::uint64_t ts_us) {
   std::lock_guard<std::mutex> lk(mu_);
-  events_.push_back(Event{'i', tid, ts_us, 0, name});
+  events_.push_back(Event{'i', tid, ts_us, 0, name, {}});
 }
 
 void TraceEmitter::counter(

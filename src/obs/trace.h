@@ -38,7 +38,11 @@ class TraceEmitter {
   TraceEmitter();
 
   /// Microseconds elapsed since construction (the trace's time base).
-  std::uint64_t now_us() const;
+  std::uint64_t now_us() const {
+    return us_at(std::chrono::steady_clock::now());
+  }
+  /// `tp` on the same time base (0 for instants before construction).
+  std::uint64_t us_at(std::chrono::steady_clock::time_point tp) const;
 
   /// Name a track: shown by chrome://tracing instead of the raw tid.
   void name_track(std::uint32_t tid, const std::string& name);

@@ -37,7 +37,9 @@ ShardedSim::ShardedSim(std::shared_ptr<const SimModel> model,
       suspended_(std::move(opt_.suspended)) {
   const unsigned k = part_.num_shards();
   engines_.resize(k);
-  shard_obs_.resize(k);
+  steps_.reserve(kMaxEpochVectors + 1);
+  logs_.resize(k);
+  for (ShardLog& l : logs_) l.records.resize(kMaxEpochVectors);
   // Shard construction includes the initial reset (a full good-machine
   // sweep plus fault activation), so build the engines in parallel too.
   pool_.parallel_for(k, [&](std::size_t s) {
@@ -92,51 +94,94 @@ void ShardedSim::reset(Val ff_init, bool clear_status) {
 }
 
 std::size_t ShardedSim::apply_vector(std::span<const Val> pi_vals) {
-  // The containment path is incompatible with detection observers: an
-  // abandoned worker could still be appending to its observation buffer
-  // while the requeued attempt records into the same slot.
-  if (opt_.resil.max_retries > 0 && !observer_) {
-    return apply_vector_resilient(pi_vals);
-  }
-  const std::size_t k = engines_.size();
-  const std::uint64_t vec_no = vec_base_ + vectors_applied_;
-  const bool sampling = timeline_ != nullptr && timeline_->want(vec_no);
-  const std::uint64_t started_us = sampling ? timeline_->now_us() : 0;
-  std::vector<std::size_t> newly(k, 0);
-  pool_.parallel_for(k, [&](std::size_t s) {
-    shard_obs_[s].clear();
-    const bool timing = trace_ != nullptr || sampling;
-    const std::uint64_t t0 =
-        timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
-    if (opt_.resil.injector != nullptr) {
-      opt_.resil.injector->maybe_fire(static_cast<unsigned>(s),
-                                      vectors_applied_);
-    }
-    newly[s] = engines_[s]->apply_vector(pi_vals);
-    const std::uint64_t t1 =
-        timing ? (trace_ ? trace_->now_us() : timeline_->now_us()) : 0;
-    if (sampling) shard_latency_us_[s] = t1 - t0;
-    if (trace_) {
-      const auto tid = static_cast<std::uint32_t>(s);
-      trace_->complete(tid, "vector", t0, t1 - t0);
-      if (newly[s] > 0) {
-        trace_->instant(tid, "detect x" + std::to_string(newly[s]), t1);
-      }
-    }
-  });
-  ++vectors_applied_;
-  merged_dirty_ = true;
-  if (observer_) replay_observations();
-  if (sampling) record_sample(vec_no, started_us);
-  maybe_rebalance();
-  std::size_t total = 0;
-  for (std::size_t n : newly) total += n;  // shards are disjoint: exact sum
-  return total;
+  steps_.clear();
+  steps_.push_back(Step{pi_vals});
+  return run_epoch(Val::X);
 }
 
-std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
+void ShardedSim::run(const TestSuite& t, Val ff_init) {
+  const std::vector<PatternSet>& seqs = t.sequences();
+  std::size_t sq = 0, off = 0;  // cursor: the next vector is seqs[sq][off]
+  while (sq < seqs.size()) {
+    const std::size_t n = epoch_vectors();
+    std::uint32_t resets = 0;
+    steps_.clear();
+    while (sq < seqs.size() && steps_.size() < n) {
+      if (off == 0) ++resets;  // a sequence starts (empty ones included)
+      if (off < seqs[sq].size()) {
+        steps_.push_back(Step{seqs[sq][off++], resets});
+        resets = 0;
+      }
+      if (off == seqs[sq].size()) {
+        ++sq;
+        off = 0;
+      }
+    }
+    if (resets != 0) steps_.push_back(Step{{}, resets, false});
+    run_epoch(ff_init);
+  }
+}
+
+void ShardedSim::run_shard(ConcurrentSim& e, unsigned shard, const Epoch& ep,
+                           ShardLog& log) {
+  log.newly = 0;
+  log.start = Clock::now();
+  for (std::size_t i = 0; i < ep.steps.size(); ++i) {
+    const Step& st = ep.steps[i];
+    for (std::uint32_t r = 0; r < st.resets; ++r) e.reset(ep.ff_init);
+    if (!st.has_vector) break;
+    if (ep.injector != nullptr) {
+      ep.injector->maybe_fire(shard, ep.first_vec + i);
+    }
+    const bool sampled =
+        ep.sample_every != 0 && (ep.sample_base + i) % ep.sample_every == 0;
+    const Clock::time_point t0 = sampled ? Clock::now() : Clock::time_point{};
+    log.newly += e.apply_vector(st.pis);
+    if (!sampled) continue;
+    VecRecord& r = log.records[i];
+    r.start = t0;
+    r.end = Clock::now();
+    r.hard = e.owned_hard();
+    r.potential = e.owned_potential();
+    r.dropped = e.faults_dropped();
+    r.live_elements = e.live_elements();
+    r.traversals = e.counters().get(obs::Counter::ElementsTraversed);
+    r.gates = e.gates_processed();
+  }
+  log.end = Clock::now();
+}
+
+std::size_t ShardedSim::run_epoch(Val ff_init) {
+  const Epoch ep{steps_,
+                 ff_init,
+                 vectors_applied_,
+                 vec_base_ + vectors_applied_,
+                 timeline_ != nullptr ? timeline_->every() : 0,
+                 opt_.resil.injector};
+  merged_dirty_ = true;
+  const Clock::time_point fork = Clock::now();
+  if (opt_.resil.max_retries > 0) {
+    dispatch_contained(ep);
+  } else {
+    pool_.parallel_for(engines_.size(), [this, &ep](std::size_t s) {
+      run_shard(*engines_[s], static_cast<unsigned>(s), ep, logs_[s]);
+    });
+  }
+  const Clock::time_point join = Clock::now();
+  const std::size_t nvec =
+      steps_.size() - (steps_.empty() || steps_.back().has_vector ? 0 : 1);
+  vectors_applied_ += nvec;
+  std::size_t newly = 0;
+  for (const ShardLog& l : logs_) newly += l.newly;  // disjoint: exact sum
+  if (trace_ != nullptr) trace_epoch(ep);
+  if (timeline_ != nullptr) record_samples(ep, nvec, fork, join);
+  if (nvec != 0) maybe_rebalance();
+  return newly;
+}
+
+void ShardedSim::dispatch_contained(const Epoch& ep) {
   const std::size_t k = engines_.size();
-  // Boundary state: what a failed or hung shard's retry restarts from.
+  // Epoch-start state: what a failed or hung shard's retry restarts from.
   // Captured per shard so a retry only rebuilds the shard that failed.
   std::vector<RunStateSnapshot> snaps(k);
   std::vector<std::vector<Detect>> snap_status(k);
@@ -144,10 +189,21 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
     snaps[s] = engines_[s]->capture_run_state();
     snap_status[s] = engines_[s]->status();
   }
-  // The vector outlives this call if a worker hangs, so the abandoned
-  // thread must not read through the caller's span.
-  const auto pis = std::make_shared<const std::vector<Val>>(pi_vals.begin(),
-                                                            pi_vals.end());
+  // The epoch outlives this call if a worker hangs, so workers read a
+  // private copy of its vectors, never the caller's suite or span.
+  struct OwnedEpoch {
+    std::vector<std::vector<Val>> pis;
+    std::vector<Step> steps;
+    Epoch ep;
+  };
+  const auto owned = std::make_shared<OwnedEpoch>();
+  owned->steps.assign(ep.steps.begin(), ep.steps.end());
+  owned->pis.reserve(owned->steps.size());
+  for (Step& st : owned->steps) {
+    st.pis = owned->pis.emplace_back(st.pis.begin(), st.pis.end());
+  }
+  owned->ep = ep;
+  owned->ep.steps = owned->steps;
   struct Sync {
     std::mutex mu;
     std::condition_variable cv;
@@ -155,26 +211,18 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
   };
   struct Task {
     ConcurrentSim* engine = nullptr;
-    std::shared_ptr<const std::vector<Val>> pis;
-    std::size_t newly = 0;
-    std::uint64_t latency_us = 0;
+    ShardLog log;
     std::exception_ptr error;
     bool done = false;  // guarded by the round's Sync::mu
   };
 
-  const std::uint64_t vec_no = vectors_applied_;
-  const std::uint64_t sample_vec = vec_base_ + vectors_applied_;
-  const bool sampling = timeline_ != nullptr && timeline_->want(sample_vec);
-  const std::uint64_t started_us = sampling ? timeline_->now_us() : 0;
-  std::vector<std::size_t> newly(k, 0);
   std::vector<std::size_t> pending(k);
   std::iota(pending.begin(), pending.end(), std::size_t{0});
-
   for (unsigned round = 0;; ++round) {
     // Isolation boundary: one dedicated thread per pending shard (the
-    // shared ThreadPool cannot abandon a hung task).  Each worker's result
-    // lands in a shared_ptr'd Task so an abandoned worker scribbles on its
-    // own orphaned state, never on the retry's.
+    // shared ThreadPool cannot abandon a hung task).  Each worker writes
+    // its log into a shared_ptr'd Task so an abandoned worker scribbles on
+    // its own orphaned state, never on the retry's.
     const auto sync = std::make_shared<Sync>();
     std::vector<std::shared_ptr<Task>> tasks(pending.size());
     std::vector<std::thread> threads(pending.size());
@@ -182,21 +230,14 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
       const auto shard = static_cast<unsigned>(pending[i]);
       auto task = std::make_shared<Task>();
       task->engine = engines_[shard].get();
-      task->pis = pis;
+      task->log.records.resize(kMaxEpochVectors);
       tasks[i] = task;
-      resil::FaultInjector* inj = opt_.resil.injector;
-      threads[i] = std::thread([task, sync, inj, shard, vec_no] {
-        const auto t0 = std::chrono::steady_clock::now();
+      threads[i] = std::thread([task, sync, owned, shard] {
         try {
-          if (inj != nullptr) inj->maybe_fire(shard, vec_no);
-          task->newly = task->engine->apply_vector(*task->pis);
+          run_shard(*task->engine, shard, owned->ep, task->log);
         } catch (...) {
           task->error = std::current_exception();
         }
-        task->latency_us = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
         {
           std::lock_guard<std::mutex> lk(sync->mu);
           task->done = true;
@@ -247,8 +288,7 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
       }
       threads[i].join();
       if (!tasks[i]->error) {
-        newly[s] = tasks[i]->newly;
-        if (sampling) shard_latency_us_[s] = tasks[i]->latency_us;
+        std::swap(logs_[s], tasks[i]->log);
         continue;
       }
       bool is_budget = false;
@@ -262,7 +302,7 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
       }
       if (is_budget) continue;  // not retryable: same budget, same throw
       // The engine may be a half-merged wreck; restore_run_state rebuilds
-      // it from the boundary wholesale.
+      // it from the epoch start wholesale.
       engines_[s]->restore_run_state(snaps[s], snap_status[s]);
       ++shard_retries_;
       if (trace_) {
@@ -272,19 +312,16 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
       failed.push_back(s);
     }
 
-    if (budget_error) {
-      // Memory-budget overflow is the campaign's to handle (suspend part of
-      // the universe, restore, go multi-pass); retrying here cannot help.
-      merged_dirty_ = true;
-      std::rethrow_exception(budget_error);
-    }
-    if (failed.empty()) break;
+    // Memory-budget overflow is the campaign's to handle (suspend part of
+    // the universe, restore, go multi-pass); retrying here cannot help.
+    if (budget_error) std::rethrow_exception(budget_error);
+    if (failed.empty()) return;
     if (round >= opt_.resil.max_retries) {
-      merged_dirty_ = true;
       if (last_error) std::rethrow_exception(last_error);
       throw Error("shard deadline exceeded " +
                   std::to_string(opt_.resil.max_retries + 1) +
-                  " times; giving up on vector " + std::to_string(vec_no));
+                  " times; giving up on the epoch at vector " +
+                  std::to_string(ep.first_vec));
     }
     // Exponential backoff before the retry round.
     const std::uint64_t ms = std::uint64_t{opt_.resil.backoff_ms}
@@ -292,57 +329,85 @@ std::size_t ShardedSim::apply_vector_resilient(std::span<const Val> pi_vals) {
     if (ms != 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
     pending = std::move(failed);
   }
-
-  ++vectors_applied_;
-  merged_dirty_ = true;
-  if (sampling) record_sample(sample_vec, started_us);
-  maybe_rebalance();
-  std::size_t total = 0;
-  for (std::size_t n : newly) total += n;  // shards are disjoint: exact sum
-  return total;
 }
 
-void ShardedSim::run(const TestSuite& t, Val ff_init) {
-  const bool rebalancing = opt_.rebalance.mode != RebalancePolicy::Mode::Off &&
-                           num_shards() > 1;
-  if (observer_ || opt_.resil.max_retries > 0 || timeline_ != nullptr ||
-      rebalancing) {
-    // Lockstep keeps the observer callback order identical to a
-    // single-threaded run, gives the containment path its per-vector retry
-    // boundary, and gives the timeline sampler and the rebalancer their
-    // per-vector boundaries (the coarse path has no driver-visible vector
-    // boundary to repartition at).
-    for (const PatternSet& seq : t.sequences()) {
-      reset(ff_init);
-      for (std::size_t i = 0; i < seq.size(); ++i) apply_vector(seq[i]);
-    }
-    return;
+std::size_t ShardedSim::epoch_vectors() const {
+  std::uint64_t n = kMaxEpochVectors;
+  if (const std::uint64_t p = rebalance_period(); p != 0) {
+    n = std::min(n, p - vectors_applied_ % p);
   }
-  // Coarse grain: each shard streams the whole suite independently; one
-  // fork-join for the entire run.
-  pool_.parallel_for(engines_.size(), [&](std::size_t s) {
-    ConcurrentSim& sim = *engines_[s];
-    const auto tid = static_cast<std::uint32_t>(s);
-    std::size_t seq_no = 0;
-    for (const PatternSet& seq : t.sequences()) {
-      const std::uint64_t t0 = trace_ ? trace_->now_us() : 0;
-      std::size_t newly = 0;
-      sim.reset(ff_init);
-      for (std::size_t i = 0; i < seq.size(); ++i) {
-        newly += sim.apply_vector(seq[i]);
-      }
-      if (trace_) {
-        const std::uint64_t t1 = trace_->now_us();
-        trace_->complete(tid, "sequence " + std::to_string(seq_no), t0,
-                         t1 - t0);
-        if (newly > 0) {
-          trace_->instant(tid, "detect x" + std::to_string(newly), t1);
-        }
-      }
-      ++seq_no;
+  return static_cast<std::size_t>(n);
+}
+
+void ShardedSim::record_samples(const Epoch& ep, std::size_t nvec,
+                                Clock::time_point fork,
+                                Clock::time_point join) {
+  obs::TimelineSample& s = sample_scratch_;
+  const auto us = [this](Clock::time_point tp) { return timeline_->us_at(tp); };
+  for (std::size_t i = 0; i < nvec; ++i) {
+    if ((ep.sample_base + i) % ep.sample_every != 0) continue;
+    // Deterministic section: sums of per-shard owned-fault tallies -- each
+    // fault counted by its owner -- so bit-identical for any --threads and
+    // --rebalance (and free of counters, so CFS_OBS=OFF builds keep it).
+    // Wall section: this vector ran from the first shard starting it (the
+    // fork, for the epoch's first) to the last finishing it (the join, for
+    // the epoch's last).
+    Clock::time_point start = i == 0 ? fork : Clock::time_point::max();
+    Clock::time_point end = i + 1 == nvec ? join : Clock::time_point::min();
+    std::uint64_t hard = 0, potential = 0, dropped = 0, live_el = 0;
+    std::uint64_t trav = 0, gates = 0;
+    for (std::size_t j = 0; j < logs_.size(); ++j) {
+      const VecRecord& r = logs_[j].records[i];
+      hard += r.hard;
+      potential += r.potential;
+      dropped += r.dropped;
+      live_el += r.live_elements;
+      trav += r.traversals;
+      gates += r.gates;
+      s.shards[j] = {part_.shard_size(static_cast<unsigned>(j)) - r.hard,
+                     r.live_elements, us(r.end) - us(r.start)};
+      start = std::min(start, r.start);
+      end = std::max(end, r.end);
     }
-  });
-  merged_dirty_ = true;
+    s.vec = ep.sample_base + i;
+    s.hard = hard;
+    s.potential = potential;
+    s.dropped = dropped;
+    s.live_faults = part_.num_faults() - hard;
+    s.live_elements = live_el;
+    s.traversals = trav;
+    s.gates = gates;
+    s.rebalances = rebalances_;
+    s.t_us = us(end);
+    s.latency_us = s.t_us - us(start);
+    timeline_->record(s);
+    if (trace_ != nullptr) {
+      // Counter tracks: area charts of the drain, alongside the slices.
+      const std::uint64_t ts = trace_->us_at(end);
+      trace_->counter(driver_tid(), "detections", ts,
+                      {{"hard", hard}, {"potential", potential}});
+      trace_->counter(driver_tid(), "pool", ts, {{"live_elements", live_el}});
+      for (std::size_t j = 0; j < s.shards.size(); ++j) {
+        trace_->counter(static_cast<std::uint32_t>(j), "load", ts,
+                        {{"live_faults", s.shards[j].live_faults},
+                         {"live_elements", s.shards[j].live_elements}});
+      }
+    }
+  }
+}
+
+void ShardedSim::trace_epoch(const Epoch& ep) {
+  const std::string name = "epoch @" + std::to_string(ep.first_vec);
+  for (std::size_t s = 0; s < logs_.size(); ++s) {
+    const ShardLog& l = logs_[s];
+    const auto tid = static_cast<std::uint32_t>(s);
+    const std::uint64_t t0 = trace_->us_at(l.start);
+    const std::uint64_t t1 = trace_->us_at(l.end);
+    trace_->complete(tid, name, t0, t1 - t0);
+    if (l.newly > 0) {
+      trace_->instant(tid, "detect x" + std::to_string(l.newly), t1);
+    }
+  }
 }
 
 const std::vector<Detect>& ShardedSim::status() const {
@@ -419,19 +484,26 @@ double ShardedSim::imbalance_ratio() const {
          static_cast<double>(total);
 }
 
-void ShardedSim::maybe_rebalance() {
-  if (engines_.size() <= 1) return;
+std::uint64_t ShardedSim::rebalance_period() const {
+  if (engines_.size() <= 1) return 0;
   const RebalancePolicy& rp = opt_.rebalance;
   switch (rp.mode) {
     case RebalancePolicy::Mode::Off:
-      return;
+      return 0;
     case RebalancePolicy::Mode::Every:
-      if (rp.every == 0 || vectors_applied_ % rp.every != 0) return;
-      break;
+      return rp.every;
     case RebalancePolicy::Mode::Auto:
-      if (vectors_applied_ - last_rebalance_vec_ < rp.cooldown) return;
-      if (imbalance_ratio() < rp.threshold) return;
-      break;
+      return std::max<std::uint64_t>(rp.cooldown, 1);
+  }
+  return 0;
+}
+
+void ShardedSim::maybe_rebalance() {
+  const std::uint64_t p = rebalance_period();
+  if (p == 0 || vectors_applied_ % p != 0) return;
+  if (opt_.rebalance.mode == RebalancePolicy::Mode::Auto &&
+      imbalance_ratio() < opt_.rebalance.threshold) {
+    return;
   }
   rebalance_now();
 }
@@ -490,7 +562,6 @@ std::size_t ShardedSim::rebalance_now() {
   ++rebalances_;
   faults_migrated_ += moved;
   elements_migrated_ += moved_elems;
-  last_rebalance_vec_ = vectors_applied_;
   CFS_COUNT(rebalance_counters_, Rebalances);
   CFS_COUNT_N(rebalance_counters_, FaultsMigrated, moved);
   CFS_COUNT_N(rebalance_counters_, ElementsMigrated, moved_elems);
@@ -535,97 +606,8 @@ void ShardedSim::set_timeline(obs::Timeline* timeline,
   vec_base_ = vec_base;
   if (timeline_ != nullptr) {
     timeline_->set_num_shards(num_shards());
-    shard_latency_us_.assign(engines_.size(), 0);
     sample_scratch_.shards.resize(engines_.size());
   }
-}
-
-void ShardedSim::record_sample(std::uint64_t vec_no,
-                               std::uint64_t started_us) {
-  obs::TimelineSample& s = sample_scratch_;
-  s.vec = vec_no;
-  // Deterministic section: read the merged master status -- each fault's
-  // verdict comes from its owner shard, so these values are bit-identical
-  // for any --threads/--rebalance combination (and need no counters, so they
-  // survive CFS_OBS=OFF builds).
-  const std::vector<Detect>& st = status();
-  for (obs::ShardSample& sh : s.shards) sh.live_faults = 0;
-  std::uint64_t hard = 0, potential = 0;
-  for (std::uint32_t id = 0; id < st.size(); ++id) {
-    if (st[id] == Detect::Hard) {
-      ++hard;
-    } else {
-      ++s.shards[part_.shard_of(id)].live_faults;
-      if (st[id] == Detect::Potential) ++potential;
-    }
-  }
-  s.hard = hard;
-  s.potential = potential;
-  s.live_faults = st.size() - hard;
-  // Work + wall sections: machine effort and timing, shard-dependent.
-  std::uint64_t dropped = 0, live_el = 0, trav = 0, gates = 0;
-  for (std::size_t i = 0; i < engines_.size(); ++i) {
-    const ConcurrentSim& e = *engines_[i];
-    dropped += e.faults_dropped();
-    const std::uint64_t le = e.live_elements();
-    s.shards[i].live_elements = le;
-    s.shards[i].latency_us = shard_latency_us_[i];
-    live_el += le;
-    trav += e.counters().get(obs::Counter::ElementsTraversed);
-    gates += e.gates_processed();
-  }
-  s.dropped = dropped;
-  s.live_elements = live_el;
-  s.traversals = trav;
-  s.gates = gates;
-  s.rebalances = rebalances_;
-  s.t_us = timeline_->now_us();
-  s.latency_us = s.t_us >= started_us ? s.t_us - started_us : 0;
-  timeline_->record(s);
-  if (trace_ != nullptr) {
-    // Counter tracks: area charts of the drain, alongside the slices.
-    const std::uint64_t ts = trace_->now_us();
-    trace_->counter(driver_tid(), "detections", ts,
-                    {{"hard", hard}, {"potential", potential}});
-    trace_->counter(driver_tid(), "pool", ts,
-                    {{"live_elements", live_el}});
-    for (std::size_t i = 0; i < s.shards.size(); ++i) {
-      trace_->counter(static_cast<std::uint32_t>(i), "load", ts,
-                      {{"live_faults", s.shards[i].live_faults},
-                       {"live_elements", s.shards[i].live_elements}});
-    }
-  }
-}
-
-void ShardedSim::set_detection_observer(ConcurrentSim::DetectionObserver obs) {
-  observer_ = std::move(obs);
-  for (std::size_t s = 0; s < engines_.size(); ++s) {
-    if (observer_) {
-      auto* buf = &shard_obs_[s];
-      engines_[s]->set_detection_observer(
-          [buf](std::uint32_t fault, std::uint32_t po, bool hard) {
-            buf->push_back({po, fault, hard});
-          });
-    } else {
-      engines_[s]->set_detection_observer(nullptr);
-    }
-  }
-}
-
-void ShardedSim::replay_observations() {
-  obs::ScopedPhase sp(driver_timers_, obs::Phase::ShardMerge);
-  // Each shard records in (po asc, fault asc) order; the sorted union is
-  // exactly the sequence one engine over the whole universe produces.
-  std::vector<Observation> all;
-  std::size_t n = 0;
-  for (const auto& v : shard_obs_) n += v.size();
-  all.reserve(n);
-  for (const auto& v : shard_obs_) all.insert(all.end(), v.begin(), v.end());
-  std::sort(all.begin(), all.end(),
-            [](const Observation& a, const Observation& b) {
-              return a.po != b.po ? a.po < b.po : a.fault < b.fault;
-            });
-  for (const Observation& o : all) observer_(o.fault, o.po, o.hard);
 }
 
 SimStats ShardedSim::stats() const {

@@ -8,11 +8,20 @@
 // deterministically -- each fault's verdict is read from its owner shard, so
 // results are bit-for-bit identical for any thread count, including 1.
 //
+// One driver runs every vector: the epoch.  Each shard's worker runs a
+// contiguous range of suite positions on its own (resetting at sequence
+// starts) and the shards meet only at the epoch's end: the end of the
+// suite, a rebalance check point, or kMaxEpochVectors positions.
+// apply_vector() is the one-vector epoch.  Telemetry never changes the
+// epochs: workers fill preallocated per-vector records, and the driver
+// turns them into timeline samples and trace slices after the join.
+//
 // All shards share one immutable SimModel (core/sim_model.h); only run
 // state (fault lists, pool, good machine, queue) is per shard, so every
 // shard re-simulates the same good machine alongside its faults.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -50,10 +59,11 @@ struct RebalancePolicy {
   /// Auto: minimum ratio of (heaviest shard's live elements) to the
   /// balanced share before a repartition fires.  1.0 fires on any skew.
   double threshold = 1.25;
-  /// Auto: vectors to wait after a rebalance before considering another
-  /// (a repartition costs roughly one capture + restore; let it pay off).
+  /// Auto: check period in vectors -- the imbalance is tested after every
+  /// multiple of `cooldown` vectors (0 counts as 1), so two repartitions
+  /// are at least this far apart (each costs roughly a capture + restore).
   std::uint64_t cooldown = 8;
-  /// Every: period in vectors (>= 1).
+  /// Every: period in vectors (0 never fires).
   std::uint64_t every = 16;
 };
 
@@ -61,6 +71,11 @@ struct RebalancePolicy {
 /// cfsd open) reject anything outside 1..kMaxThreads before it reaches
 /// ShardedOptions.
 inline constexpr unsigned kMaxThreads = 64;
+
+/// Longest epoch in vectors: shards run this many suite positions at most
+/// between two meetings.  Bounds the per-shard vector records and keeps a
+/// live progress meter moving.
+inline constexpr std::size_t kMaxEpochVectors = 64;
 
 struct ShardedOptions {
   /// Worker threads; the universe is split into the same number of shards
@@ -72,11 +87,12 @@ struct ShardedOptions {
   CsimOptions csim;
   /// Shard failure containment (resil/containment.h).  Off by default.
   resil::ResilOptions resil;
-  /// Dynamic shard rebalancing (no-op with a single shard).  At the end of
-  /// a vector, when the policy triggers, the driver captures the merged
-  /// boundary snapshot, repartitions ownership by live-element weight
-  /// (greedy LPT), and restores every shard -- same machinery as a
-  /// checkpoint restore, so the run continues bit-identically.
+  /// Dynamic shard rebalancing (no-op with a single shard).  At a policy
+  /// check point (an epoch end), when the policy triggers, the driver
+  /// captures the merged boundary snapshot, repartitions ownership by
+  /// live-element weight (greedy LPT), and restores every shard -- same
+  /// machinery as a checkpoint restore, so the run continues
+  /// bit-identically.
   RebalancePolicy rebalance;
   /// Initial suspension mask (size num_faults, or empty): marked faults are
   /// excluded from simulation until set_suspended()/restore_run_state()
@@ -120,12 +136,12 @@ struct EngineStats {
 struct SimStats {
   std::vector<EngineStats> per_engine;
   EngineStats total;  ///< field-wise sum over per_engine
-  /// Driver-side phases (shard merge, observation replay) -- work outside
-  /// any single engine, so kept out of `total`.
+  /// Driver-side phases (shard merge, rebalance) -- work outside any
+  /// single engine, so kept out of `total`.
   obs::PhaseTimers driver;
   std::size_t model_bytes = 0;
   std::size_t circuit_bytes = 0;
-  /// Containment counters: shard vector attempts that were retried after an
+  /// Containment counters: shard epoch attempts that were retried after an
   /// exception or a deadline expiry, and the subset where a hung shard's
   /// slice was requeued onto a rebuilt engine.  Zero with containment off.
   std::uint64_t shard_retries = 0;
@@ -165,20 +181,14 @@ class ShardedSim {
   /// unless `clear_status`.
   void reset(Val ff_init = Val::X, bool clear_status = false);
 
-  /// Simulate one vector on all shards (fork-join) and return the number of
-  /// newly hard-detected faults across the universe.  If a detection
-  /// observer is set, the merged PO-mismatch observations are replayed in
-  /// (PO position, fault id) order -- exactly the order a single
-  /// ConcurrentSim emits them in.
+  /// Simulate one vector on all shards -- a one-vector epoch -- and return
+  /// the number of newly hard-detected faults across the universe.
   std::size_t apply_vector(std::span<const Val> pi_vals);
 
-  /// Simulate a whole suite: one reset per sequence, vectors in order.
-  /// Without an observer, timeline, rebalancing, or containment, each shard
-  /// runs the entire suite independently (coarse-grained, one fork-join
-  /// total); otherwise the vectors run in lockstep through apply_vector()
-  /// so callbacks stay ordered and the driver sees every vector boundary.
-  /// Every path yields the same merged status, detection order, and
-  /// deterministic counters.
+  /// Simulate a whole suite: one reset per sequence, vectors in order, in
+  /// epochs of at most kMaxEpochVectors positions that end early at the
+  /// rebalance policy's check points.  The merged status, detection order
+  /// and deterministic counters equal an apply_vector() loop's.
   void run(const TestSuite& t, Val ff_init = Val::X);
 
   // -- results ------------------------------------------------------------
@@ -186,8 +196,6 @@ class ShardedSim {
   /// fault from its owner shard).
   const std::vector<Detect>& status() const;
   Coverage coverage() const { return summarize(status()); }
-
-  void set_detection_observer(ConcurrentSim::DetectionObserver obs);
 
   // -- resilience (resil/campaign.h drives these) --------------------------
 
@@ -242,20 +250,18 @@ class ShardedSim {
 
   // -- telemetry -----------------------------------------------------------
   /// Attach a Chrome-trace emitter (obs/trace.h): one track per shard
-  /// records a slice per vector (lockstep) or per sequence (coarse run),
-  /// with instant markers on fault detections; a driver track records the
-  /// merge.  Pass nullptr to detach.  The emitter must outlive the runs it
-  /// observes.
+  /// records a slice per epoch, with instant markers on fault detections; a
+  /// driver track records the merge and rebalances.  Pass nullptr to
+  /// detach.  The emitter must outlive the runs it observes.
   void set_trace(obs::TraceEmitter* trace);
 
   /// Attach a time-series sampler (obs/timeline.h): every wanted vector
-  /// records one sample -- merged detections, per-shard live-fault weight
-  /// and apply_vector latency, pool population, counter totals.  The
-  /// timeline's shard width is fixed here.  `vec_base` offsets the sample
-  /// vector coordinate (a resumed campaign continues its suite position).
-  /// Sampling forces run() onto the lockstep path so every vector is a
-  /// sample point.  Pass nullptr to detach.  The timeline must outlive the
-  /// runs it observes.
+  /// records one sample -- detections, per-shard live-fault weight and
+  /// latency, pool population, counter totals -- assembled at the epoch's
+  /// end from the records each shard filled for itself.  The timeline's
+  /// shard width is fixed here.  `vec_base` offsets the sample vector
+  /// coordinate (a resumed campaign continues its suite position).  Pass
+  /// nullptr to detach.  The timeline must outlive the runs it observes.
   void set_timeline(obs::Timeline* timeline, std::uint64_t vec_base = 0);
   obs::Timeline* timeline() const { return timeline_; }
 
@@ -268,7 +274,59 @@ class ShardedSim {
   void report_memory(MemStats& ms) const;
 
  private:
-  void replay_observations();
+  using Clock = std::chrono::steady_clock;
+  // One suite position of an epoch: the sequence-start resets before it,
+  // then its vector (absent only on a trailing reset-only step).
+  struct Step {
+    std::span<const Val> pis;
+    std::uint32_t resets = 0;
+    bool has_vector = true;
+  };
+  // Everything a shard worker reads during an epoch, by value: an abandoned
+  // containment worker must not touch driver state.
+  struct Epoch {
+    std::span<const Step> steps;
+    Val ff_init = Val::X;
+    std::uint64_t first_vec = 0;     // driver vector number of steps[0]
+    std::uint64_t sample_base = 0;   // timeline coordinate of steps[0]
+    std::uint64_t sample_every = 0;  // 0: no timeline attached
+    resil::FaultInjector* injector = nullptr;
+  };
+  // What a shard records about itself after one sampled vector.
+  struct VecRecord {
+    Clock::time_point start, end;
+    std::uint64_t hard = 0, potential = 0, dropped = 0;
+    std::uint64_t live_elements = 0, traversals = 0, gates = 0;
+  };
+  // One shard's epoch output, written only by that shard's worker.
+  struct ShardLog {
+    std::vector<VecRecord> records;  // kMaxEpochVectors slots, by step
+    std::size_t newly = 0;           // hard detections this epoch
+    Clock::time_point start, end;    // the epoch's wall span on the shard
+  };
+
+  /// The per-shard epoch body, shared by the pool and containment paths.
+  static void run_shard(ConcurrentSim& e, unsigned shard, const Epoch& ep,
+                        ShardLog& log);
+  /// Run steps_ as one epoch on every shard, then assemble telemetry and
+  /// check the rebalance policy.  Returns the new hard detections.
+  std::size_t run_epoch(Val ff_init);
+  /// The containment dispatcher: dedicated threads, deadline watchdog, and
+  /// bounded retry of a failed shard from its epoch-start snapshot.
+  void dispatch_contained(const Epoch& ep);
+  /// Epoch length limit from the current position: kMaxEpochVectors, or
+  /// fewer to stop at the next rebalance check point.
+  std::size_t epoch_vectors() const;
+  /// Rebalance check period in vectors (0: no checks).
+  std::uint64_t rebalance_period() const;
+  /// Epoch-end policy check: rebalance_now() when the position is a check
+  /// point and the policy (every-N, or auto's threshold) fires.
+  void maybe_rebalance();
+  /// Timeline samples for the epoch's wanted vectors, from the shard logs.
+  void record_samples(const Epoch& ep, std::size_t nvec, Clock::time_point fork,
+                      Clock::time_point join);
+  /// One trace slice per shard for the epoch just joined.
+  void trace_epoch(const Epoch& ep);
   /// tid of the driver track (one past the shard tracks).
   std::uint32_t driver_tid() const {
     return static_cast<std::uint32_t>(engines_.size());
@@ -279,20 +337,16 @@ class ShardedSim {
   /// Build (or rebuild, on the containment path) shard `s`'s engine with the
   /// current suspension overlay.
   std::unique_ptr<ConcurrentSim> make_shard_engine(unsigned s) const;
-  /// The containment path: isolation boundary + watchdog + bounded requeue.
-  std::size_t apply_vector_resilient(std::span<const Val> pi_vals);
-  /// Assemble and record one timeline sample for the vector that just
-  /// completed (driver thread; merged status is the deterministic source).
-  void record_sample(std::uint64_t vec_no, std::uint64_t started_us);
-  /// End-of-vector policy check: rebalance_now() when the configured
-  /// trigger (auto threshold + cooldown, or every-N) fires.
-  void maybe_rebalance();
 
   std::shared_ptr<const SimModel> model_;
   ShardedOptions opt_;
   FaultPartition part_;
   ThreadPool pool_;
   std::vector<std::unique_ptr<ConcurrentSim>> engines_;
+  // The current epoch's steps (capacity kMaxEpochVectors + 1, reused) and
+  // each shard's output of it.
+  std::vector<Step> steps_;
+  std::vector<ShardLog> logs_;
 
   // Current suspension overlay (mirrors what every engine was last given).
   std::vector<std::uint8_t> suspended_;
@@ -301,11 +355,9 @@ class ShardedSim {
   std::uint64_t vectors_applied_ = 0;
   std::uint64_t shard_retries_ = 0;
   std::uint64_t shard_requeues_ = 0;
-  // Dynamic-rebalancing counters and the auto policy's cooldown anchor.
   std::uint64_t rebalances_ = 0;
   std::uint64_t faults_migrated_ = 0;
   std::uint64_t elements_migrated_ = 0;
-  std::uint64_t last_rebalance_vec_ = 0;
   // A hung shard's abandoned worker and engine: the thread still runs (or
   // sleeps) inside the engine, so both stay alive, parked here, until the
   // destructor joins them.
@@ -315,22 +367,12 @@ class ShardedSim {
   };
   std::vector<Abandoned> graveyard_;
 
-  ConcurrentSim::DetectionObserver observer_;
-  struct Observation {
-    std::uint32_t po;
-    std::uint32_t fault;
-    bool hard;
-  };
-  std::vector<std::vector<Observation>> shard_obs_;  // per shard, per vector
-
   obs::TraceEmitter* trace_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   std::uint64_t vec_base_ = 0;
-  // Per-shard apply_vector wall time of the last sampled vector, and a
-  // preallocated sample the driver refills (no allocation per sample).
-  std::vector<std::uint64_t> shard_latency_us_;
+  // Preallocated sample the driver refills (no allocation per sample).
   obs::TimelineSample sample_scratch_;
-  // Merge/replay happen in const accessors; the timers still record them.
+  // The merge happens in a const accessor; the timers still record it.
   mutable obs::PhaseTimers driver_timers_;
   // Driver-side telemetry: the rebalance counters, merged into
   // stats().total (no engine owns them).

@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "core/concurrent_sim.h"
@@ -221,7 +220,6 @@ TEST(Rebalance, SingleShardIsANoOp) {
 
 struct GridResult {
   std::vector<Detect> status;
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, bool>> observations;
   std::uint64_t hard = 0, potential = 0, dropped = 0;
 };
 
@@ -233,10 +231,6 @@ GridResult run_grid_point(const Circuit& c, const FaultUniverse& u,
   so.rebalance = rp;
   ShardedSim sim(c, u, so);
   GridResult g;
-  sim.set_detection_observer(
-      [&g](std::uint32_t fault, std::uint32_t po, bool hard) {
-        g.observations.emplace_back(fault, po, hard);
-      });
   sim.run(t, Val::X);
   g.status = sim.status();
   const SimStats st = sim.stats();
@@ -260,7 +254,6 @@ TEST(RebalanceGrid, StatusOrderAndCountersInvariant) {
   // registry (and with it GridResult's hard/potential/dropped, compared
   // below as all-zeros) is compiled out.
   ASSERT_GT(summarize(ref.status).hard, 0u);
-  ASSERT_FALSE(ref.observations.empty());
   const RebalancePolicy policies[] = {RebalancePolicy{},
                                       auto_policy(1.05, 2), every_n(3)};
   for (unsigned threads : {1u, 2u, 4u}) {
@@ -269,7 +262,6 @@ TEST(RebalanceGrid, StatusOrderAndCountersInvariant) {
       const std::string at = "threads=" + std::to_string(threads) + " mode=" +
                              std::to_string(static_cast<int>(rp.mode));
       EXPECT_EQ(g.status, ref.status) << at;
-      EXPECT_EQ(g.observations, ref.observations) << at;
       EXPECT_EQ(g.hard, ref.hard) << at;
       EXPECT_EQ(g.potential, ref.potential) << at;
       EXPECT_EQ(g.dropped, ref.dropped) << at;

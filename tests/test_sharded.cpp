@@ -1,13 +1,16 @@
 // Sharded multi-threaded simulation: the partition is a disjoint balanced
 // cover, and ShardedSim produces bit-for-bit the single-engine detection
-// status, coverage, and PO-mismatch observation stream for any thread
-// count, across every CsimOptions variant, macro mode, and the transition
-// model -- per vector, and over whole multi-sequence suites through both
-// run() drivers and the harness runners.
+// status and coverage for any thread count, across every CsimOptions
+// variant, macro mode, and the transition model -- per vector, and over
+// whole multi-sequence suites through run()'s epochs and the harness
+// runners -- with telemetry attached or not.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <numeric>
+#include <regex>
+#include <sstream>
 #include <stdexcept>
 #include <tuple>
 
@@ -18,6 +21,8 @@
 #include "harness/runner.h"
 #include "netlist/macro_extract.h"
 #include "obs/counters.h"
+#include "obs/timeline.h"
+#include "obs/trace.h"
 #include "patterns/pattern.h"
 #include "sim/sharded_sim.h"
 #include "util/error.h"
@@ -219,6 +224,8 @@ TEST(ShardedSim, MacroModeInvariant) {
   }
 }
 
+// The id predates the epoch driver: run()'s epochs against an apply_vector()
+// loop of one-vector epochs.
 TEST(ShardedSim, CoarseRunMatchesLockstep) {
   const Circuit c = make_test_circuit(904);
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
@@ -228,61 +235,142 @@ TEST(ShardedSim, CoarseRunMatchesLockstep) {
 
   ShardedOptions sopt;
   sopt.num_threads = 4;
-  ShardedSim coarse(c, u, sopt);
-  coarse.run(t);  // no observer: one fork-join for the whole suite
+  ShardedSim epochs(c, u, sopt);
+  epochs.run(t);  // free-running epochs
 
-  ShardedSim lockstep(c, u, sopt);
+  ShardedSim per_vector(c, u, sopt);  // one-vector epochs
   for (const PatternSet& seq : t.sequences()) {
-    lockstep.reset();
-    for (std::size_t i = 0; i < seq.size(); ++i) lockstep.apply_vector(seq[i]);
+    per_vector.reset();
+    for (std::size_t i = 0; i < seq.size(); ++i) {
+      per_vector.apply_vector(seq[i]);
+    }
   }
-  EXPECT_EQ(coarse.status(), lockstep.status());
+  EXPECT_EQ(epochs.status(), per_vector.status());
 }
 
-TEST(ShardedSim, ObservationStreamMatchesSingleEngine) {
-  const Circuit c = make_test_circuit(905);
-  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
-  const PatternSet p = PatternSet::random(c.inputs().size(), 100, 41);
-  using Event = std::tuple<std::size_t, std::uint32_t, std::uint32_t, bool>;
+// ---------------------------------------------------------------------------
+// The epoch driver: telemetry and the rebalance policy never change how the
+// shards run
+// ---------------------------------------------------------------------------
 
-  CsimOptions opt;
-  opt.drop_detected = false;  // repeats exercise the stream harder
+using DetTuple = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                            std::uint64_t, std::uint64_t>;
 
-  std::vector<Event> want;
-  {
-    ConcurrentSim ref(c, u, opt);
-    std::size_t vec = 0;
-    ref.set_detection_observer(
-        [&](std::uint32_t fault, std::uint32_t po, bool hard) {
-          want.emplace_back(vec, fault, po, hard);
-        });
-    ref.reset(Val::Zero);
-    for (; vec < p.size(); ++vec) ref.apply_vector(p[vec]);
+std::vector<DetTuple> deterministic_tuples(const obs::Timeline& tl) {
+  std::vector<DetTuple> out;
+  for (std::size_t i = 0; i < tl.size(); ++i) {
+    const obs::TimelineSample& s = tl.at(i);
+    out.emplace_back(s.vec, s.hard, s.potential, s.dropped, s.live_faults);
   }
-  ASSERT_FALSE(want.empty());
+  return out;
+}
 
-  for (unsigned k : {1u, 3u, 8u}) {
-    ShardedOptions sopt;
-    sopt.num_threads = k;
-    sopt.csim = opt;
+// Complete ("X") trace events on track `tid`.
+std::size_t slices_on_track(const obs::TraceEmitter& trace, unsigned tid) {
+  std::ostringstream os;
+  trace.write(os);
+  const std::string doc = os.str();
+  const std::regex slice("\"tid\":\\s*" + std::to_string(tid) +
+                         ",\\s*\"ph\":\\s*\"X\"");
+  return static_cast<std::size_t>(
+      std::distance(std::sregex_iterator(doc.begin(), doc.end(), slice),
+                    std::sregex_iterator()));
+}
+
+TEST(ShardedSim, EpochsRunFreeWithTraceAndTimelineAttached) {
+  const Circuit c = make_test_circuit(915, 200);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  const TestSuite t(PatternSet::random(c.inputs().size(), 200, 53));
+  ShardedOptions sopt;
+  sopt.num_threads = 4;
+
+  ShardedSim plain(c, u, sopt);
+  plain.run(t, Val::Zero);
+
+  ShardedSim observed(c, u, sopt);
+  obs::TraceEmitter trace;
+  obs::Timeline timeline(256);
+  observed.set_trace(&trace);
+  observed.set_timeline(&timeline);
+  observed.run(t, Val::Zero);
+  ASSERT_EQ(observed.num_shards(), 4u);
+
+  // One slice per shard per epoch, not one per vector.
+  const std::size_t epochs =
+      (200 + kMaxEpochVectors - 1) / kMaxEpochVectors;
+  for (unsigned s = 0; s < 4; ++s) {
+    EXPECT_EQ(slices_on_track(trace, s), epochs) << "shard " << s;
+  }
+
+  // Every vector is still sampled, with the deterministic section of a
+  // one-shard run and of a per-vector apply_vector() loop.
+  ShardedOptions one;
+  one.num_threads = 1;
+  ShardedSim single(c, u, one);
+  obs::Timeline single_tl(256);
+  single.set_timeline(&single_tl);
+  single.run(t, Val::Zero);
+  ShardedSim looped(c, u, sopt);
+  obs::Timeline looped_tl(256);
+  looped.set_timeline(&looped_tl);
+  looped.reset(Val::Zero);
+  const PatternSet& seq = t.sequences()[0];
+  for (std::size_t i = 0; i < seq.size(); ++i) looped.apply_vector(seq[i]);
+  ASSERT_EQ(timeline.size(), 200u);
+  EXPECT_EQ(deterministic_tuples(timeline), deterministic_tuples(single_tl));
+  EXPECT_EQ(deterministic_tuples(timeline), deterministic_tuples(looped_tl));
+  EXPECT_EQ(timeline.at(199).hard, summarize(plain.status()).hard);
+
+  // Attaching telemetry costs no simulation work.
+  const SimStats a = plain.stats(), b = observed.stats();
+  for (unsigned s = 0; s < 4; ++s) {
+    EXPECT_EQ(b.per_engine[s].gates_processed, a.per_engine[s].gates_processed)
+        << "shard " << s;
+    EXPECT_EQ(b.per_engine[s].counters.get(obs::Counter::ElementsTraversed),
+              a.per_engine[s].counters.get(obs::Counter::ElementsTraversed))
+        << "shard " << s;
+  }
+  EXPECT_EQ(observed.status(), plain.status());
+}
+
+TEST(ShardedSim, RebalanceFiresAtPolicyCheckPoints) {
+  const Circuit c = make_test_circuit(916, 200);
+  const FaultUniverse u = FaultUniverse::all_stuck_at(c);
+  TestSuite t;
+  t.sequences().push_back(PatternSet::random(c.inputs().size(), 130, 59));
+  t.sequences().push_back(PatternSet::random(c.inputs().size(), 70, 61));
+  ShardedOptions ref_opt;
+  ref_opt.num_threads = 4;
+  ShardedSim ref(c, u, ref_opt);
+  ref.run(t, Val::Zero);
+
+  for (const RebalancePolicy::Mode mode :
+       {RebalancePolicy::Mode::Every, RebalancePolicy::Mode::Auto}) {
+    ShardedOptions sopt = ref_opt;
+    sopt.rebalance.mode = mode;
+    sopt.rebalance.every = 10;
+    sopt.rebalance.cooldown = 10;
+    sopt.rebalance.threshold = 1.0;  // Auto fires at every check point too
     ShardedSim sim(c, u, sopt);
-    std::vector<Event> got;
-    std::size_t vec = 0;
-    sim.set_detection_observer(
-        [&](std::uint32_t fault, std::uint32_t po, bool hard) {
-          got.emplace_back(vec, fault, po, hard);
-        });
-    sim.reset(Val::Zero);
-    for (; vec < p.size(); ++vec) sim.apply_vector(p[vec]);
-    EXPECT_EQ(got, want) << k << " shards";
+    obs::Timeline tl(256);
+    sim.set_timeline(&tl);
+    sim.run(t, Val::Zero);
+    // A sample precedes its vector's check, so after vector v the count is
+    // the number of multiples of 10 in [1, v].
+    ASSERT_EQ(tl.size(), 200u);
+    for (std::size_t i = 0; i < tl.size(); ++i) {
+      EXPECT_EQ(tl.at(i).rebalances, tl.at(i).vec / 10) << "vec " << i;
+    }
+    EXPECT_EQ(sim.rebalances(), 20u);
+    EXPECT_EQ(sim.status(), ref.status());
   }
 }
 
 // ---------------------------------------------------------------------------
-// Whole-suite run(): multi-sequence suites through the coarse driver (no
-// observer) and the lockstep driver (observer attached). The ShardedBatch
-// suite name dates from the removed pattern-lane batch axis; these cases keep
-// its ids and check the threads axis that remains.
+// Whole-suite run(): multi-sequence suites through run()'s epochs and
+// through a reset + apply_vector() loop of one-vector epochs.  The
+// ShardedBatch suite name dates from the removed pattern-lane batch axis;
+// these cases keep its ids and check the threads axis that remains.
 // ---------------------------------------------------------------------------
 
 Circuit make_comb_circuit(std::uint64_t seed, unsigned gates) {
@@ -310,24 +398,24 @@ TestSuite multi_seq_suite(std::size_t num_inputs, std::size_t n,
 
 struct SuiteRecord {
   std::vector<Detect> status;
-  std::vector<std::tuple<std::uint32_t, std::uint32_t, bool>> observations;
   std::uint64_t hard = 0, potential = 0, dropped = 0;
 };
 
 SuiteRecord run_suite(const Circuit& c, const FaultUniverse& u,
-                      const TestSuite& t, unsigned threads, bool observe,
+                      const TestSuite& t, unsigned threads, bool per_vector,
                       const MacroFaultMap* mmap = nullptr) {
   ShardedOptions sopt;
   sopt.num_threads = threads;
   ShardedSim sim(c, u, sopt, mmap);
   SuiteRecord r;
-  if (observe) {
-    sim.set_detection_observer(
-        [&r](std::uint32_t fault, std::uint32_t po, bool hard) {
-          r.observations.emplace_back(fault, po, hard);
-        });
+  if (per_vector) {
+    for (const PatternSet& seq : t.sequences()) {
+      sim.reset(Val::X);
+      for (std::size_t i = 0; i < seq.size(); ++i) sim.apply_vector(seq[i]);
+    }
+  } else {
+    sim.run(t, Val::X);
   }
-  sim.run(t, Val::X);
   r.status = sim.status();
   const obs::Counters& cnt = sim.stats().total.counters;
   r.hard = cnt.get(obs::Counter::DetectionsHard);
@@ -339,7 +427,6 @@ SuiteRecord run_suite(const Circuit& c, const FaultUniverse& u,
 void expect_same_run(const SuiteRecord& got, const SuiteRecord& want,
                      const std::string& where) {
   EXPECT_EQ(got.status, want.status) << where;
-  EXPECT_EQ(got.observations, want.observations) << where;
   EXPECT_EQ(got.hard, want.hard) << where;
   EXPECT_EQ(got.potential, want.potential) << where;
   EXPECT_EQ(got.dropped, want.dropped) << where;
@@ -350,15 +437,13 @@ TEST(ShardedBatch, StuckAtInvariantAcrossBatchAndThreads) {
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   const TestSuite t = multi_seq_suite(c.inputs().size(), 9, 400);
 
-  const SuiteRecord ref = run_suite(c, u, t, 1, /*observe=*/true);
-  EXPECT_FALSE(ref.observations.empty());
-  SuiteRecord coarse_ref = ref;
-  coarse_ref.observations.clear();
+  const SuiteRecord ref = run_suite(c, u, t, 1, /*per_vector=*/false);
+  EXPECT_GT(summarize(ref.status).hard, 0u);
   for (unsigned threads : {2u, 4u}) {
     const std::string at = "threads " + std::to_string(threads);
-    expect_same_run(run_suite(c, u, t, threads, true), ref, "lockstep, " + at);
-    expect_same_run(run_suite(c, u, t, threads, false), coarse_ref,
-                    "coarse, " + at);
+    expect_same_run(run_suite(c, u, t, threads, true), ref,
+                    "apply_vector, " + at);
+    expect_same_run(run_suite(c, u, t, threads, false), ref, "run, " + at);
   }
 }
 
@@ -368,15 +453,13 @@ TEST(ShardedBatch, CombinationalInvariantAcrossBatchAndThreads) {
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   const TestSuite t = multi_seq_suite(c.inputs().size(), 3, 500, 100);
 
-  const SuiteRecord ref = run_suite(c, u, t, 1, /*observe=*/true);
-  EXPECT_FALSE(ref.observations.empty());
-  SuiteRecord coarse_ref = ref;
-  coarse_ref.observations.clear();
+  const SuiteRecord ref = run_suite(c, u, t, 1, /*per_vector=*/false);
+  EXPECT_GT(summarize(ref.status).hard, 0u);
   for (unsigned threads : {2u, 4u}) {
     const std::string at = "threads " + std::to_string(threads);
-    expect_same_run(run_suite(c, u, t, threads, true), ref, "lockstep, " + at);
-    expect_same_run(run_suite(c, u, t, threads, false), coarse_ref,
-                    "coarse, " + at);
+    expect_same_run(run_suite(c, u, t, threads, true), ref,
+                    "apply_vector, " + at);
+    expect_same_run(run_suite(c, u, t, threads, false), ref, "run, " + at);
   }
 }
 
@@ -388,7 +471,7 @@ TEST(ShardedBatch, MacroModeInvariant) {
   const TestSuite t = multi_seq_suite(c.inputs().size(), 6, 600);
 
   const SuiteRecord ref =
-      run_suite(ext.circuit, u, t, 1, /*observe=*/false, &mmap);
+      run_suite(ext.circuit, u, t, 1, /*per_vector=*/false, &mmap);
   for (unsigned threads : {2u, 4u}) {
     expect_same_run(run_suite(ext.circuit, u, t, threads, false, &mmap), ref,
                     "threads " + std::to_string(threads));
@@ -400,29 +483,51 @@ TEST(ShardedBatch, TransitionModeInvariant) {
   const FaultUniverse u = FaultUniverse::all_transition(c);
   const TestSuite t = multi_seq_suite(c.inputs().size(), 6, 700);
 
-  const RunResult ref = run_csim_transition(c, u, t, Val::X, true);
+  ConcurrentSim single(c, u);
+  for (const PatternSet& seq : t.sequences()) {
+    single.reset(Val::X);
+    for (std::size_t i = 0; i < seq.size(); ++i) single.apply_vector(seq[i]);
+  }
+  const Coverage ref = single.coverage();
   for (unsigned threads : {1u, 2u, 4u}) {
-    const RunResult got =
-        run_csim_transition_sharded(c, u, t, threads, Val::X, true);
-    EXPECT_EQ(got.cov.hard, ref.cov.hard) << "threads " << threads;
-    EXPECT_EQ(got.cov.potential, ref.cov.potential) << "threads " << threads;
-    EXPECT_EQ(got.cov.total, ref.cov.total);
+    const RunResult got = run_csim_transition(c, u, t, Val::X, true, threads);
+    EXPECT_EQ(got.cov.hard, ref.hard) << "threads " << threads;
+    EXPECT_EQ(got.cov.potential, ref.potential) << "threads " << threads;
+    EXPECT_EQ(got.cov.total, ref.total);
   }
 }
 
+// run_csim() at one thread is the plain engine: same coverage, the same
+// memory figure and an unsuffixed name; more threads only add " xK".
 TEST(ShardedBatch, RunnerParityWithSingleEngine) {
   const Circuit c = make_test_circuit(914, 160);
   const FaultUniverse u = FaultUniverse::all_stuck_at(c);
   const TestSuite t = multi_seq_suite(c.inputs().size(), 8, 800);
+  const MacroExtraction ext = extract_macros(c);
+  const MacroFaultMap mmap = map_faults_to_macros(c, ext, u);
 
   for (CsimVariant v : {CsimVariant::V, CsimVariant::MV}) {
-    const RunResult base = run_csim(c, u, t, v, Val::X);
+    const bool macros = v == CsimVariant::MV;
+    const Circuit& sc = macros ? ext.circuit : c;
+    ConcurrentSim single(sc, u, CsimOptions{}, macros ? &mmap : nullptr);
+    for (const PatternSet& seq : t.sequences()) {
+      single.reset(Val::X);
+      for (std::size_t i = 0; i < seq.size(); ++i) single.apply_vector(seq[i]);
+    }
     for (unsigned threads : {1u, 2u}) {
-      const RunResult got = run_csim_sharded(c, u, t, v, threads, Val::X);
-      EXPECT_EQ(got.cov.hard, base.cov.hard)
-          << variant_name(v) << " threads " << threads;
-      EXPECT_EQ(got.cov.potential, base.cov.potential);
-      EXPECT_EQ(got.cov.total, base.cov.total);
+      const RunResult got = run_csim(c, u, t, v, Val::X, true, threads);
+      const std::string at =
+          variant_name(v) + " threads " + std::to_string(threads);
+      EXPECT_EQ(got.cov.hard, single.coverage().hard) << at;
+      EXPECT_EQ(got.cov.potential, single.coverage().potential) << at;
+      EXPECT_EQ(got.cov.total, single.coverage().total) << at;
+      EXPECT_EQ(got.threads, threads) << at;
+      if (threads == 1) {
+        EXPECT_EQ(got.sim_name, variant_name(v));
+        EXPECT_EQ(got.mem_bytes, single.bytes() + sc.bytes()) << at;
+      } else {
+        EXPECT_EQ(got.sim_name, variant_name(v) + " x2");
+      }
     }
   }
 }
